@@ -10,7 +10,8 @@
      figure5   — Figure 5: executable sizes (LLVM bitcode / X86 / Sparc)
                  plus the compressibility observation of section 4.1.3
      lifelong  — the Figure 4 pipeline: build, profile in the field,
-                 idle-time reoptimize, rerun
+                 idle-time PGO reoptimize, rerun; exits 1 unless the
+                 rerun behaves identically with fewer instructions
      lint      — per-checker llvm-lint finding counts over the Table-1
                  workloads (analyzer precision tracked like a benchmark)
      ranges    — value-range analysis: bounds checks eliminated, fast
@@ -256,20 +257,12 @@ type exec_obs = {
 }
 
 let observe (kind : Llvm_exec.Engine.kind) (m : Ir.modul) : exec_obs =
-  let r, p = Llvm_exec.Engine.run_main ~fuel:1_000_000_000 ~profiling:true kind m in
-  let status =
-    match r.Llvm_exec.Interp.status with
-    | `Returned v -> Fmt.str "returned %a" Llvm_exec.Interp.pp_rtval v
-    | `Unwound -> "unwound"
-    | `Exited c -> Fmt.str "exited %d" c
-    | `Trapped msg -> "trapped: " ^ msg
-  in
-  { o_status = status;
+  let r, counts = Llvm_exec.Engine.run_main ~fuel:1_000_000_000 ~profiling:true kind m in
+  { o_status = Llvm_exec.Interp.show_status r;
     o_output = r.Llvm_exec.Interp.output;
     o_instrs = r.Llvm_exec.Interp.instructions;
     o_profile =
-      List.sort compare
-        (Hashtbl.fold (fun k v acc -> (k, v) :: acc) p.Llvm_exec.Interp.counts []) }
+      List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts []) }
 
 type exec_row = {
   e_name : string;
@@ -460,30 +453,41 @@ let lifelong () =
     (String.length exe.Llvm_linker.Lifelong.bitcode)
     exe.Llvm_linker.Lifelong.native_x86_bytes
     exe.Llvm_linker.Lifelong.native_sparc_bytes;
-  let report = Llvm_linker.Lifelong.run_in_the_field ~fuel:200_000_000 exe in
-  let before = report.Llvm_linker.Lifelong.result.Llvm_exec.Interp.instructions in
+  let field_run exe =
+    Llvm_linker.Fleet.field_run ~fuel:200_000_000 exe.Llvm_linker.Lifelong.program
+  in
+  let run1 = field_run exe in
+  let before = run1.result.Llvm_exec.Interp.instructions in
   say "field run 1: %d instructions executed" before;
-  (match report.Llvm_linker.Lifelong.promoted with
+  (match run1.promoted with
   | [] -> say "tiered engine: nothing crossed the hot threshold"
   | ps ->
     say "tiered engine promoted to bytecode: %s"
       (String.concat ", "
          (List.map (fun (f, n) -> Fmt.str "%s (at %d entries)" f n) ps)));
-  let hot = Llvm_linker.Lifelong.hot_functions exe report in
   say "hottest functions:";
   List.iteri
     (fun k (name, count) -> if k < 5 then say "  %-24s %8d entries" name count)
-    hot;
-  let reopt = Llvm_linker.Lifelong.reoptimize_with_profile exe report in
+    (Llvm_profile.Profile.hot_functions run1.profile exe.program);
+  let before_instrs = Ir.module_instr_count exe.program in
+  let exe, stats = Llvm_linker.Lifelong.reoptimize exe run1.profile in
   say "idle-time reoptimizer: inlined %d hot call sites (%d -> %d instrs)"
-    reopt.Llvm_linker.Lifelong.inlined_hot_calls
-    reopt.Llvm_linker.Lifelong.before_instrs
-    reopt.Llvm_linker.Lifelong.after_instrs;
-  let report2 = Llvm_linker.Lifelong.run_in_the_field ~fuel:200_000_000 exe in
-  let after = report2.Llvm_linker.Lifelong.result.Llvm_exec.Interp.instructions in
+    stats.Llvm_transforms.Pgo.inlined before_instrs
+    (Ir.module_instr_count exe.program);
+  let run2 = field_run exe in
+  let after = run2.result.Llvm_exec.Interp.instructions in
   say "field run 2: %d instructions executed (%.1f%% fewer)" after
     (100. *. (1. -. (float_of_int after /. float_of_int before)));
-  say ""
+  say "";
+  if
+    Llvm_exec.Interp.show_status run1.result
+    <> Llvm_exec.Interp.show_status run2.result
+    || run1.result.output <> run2.result.output
+    || after >= before
+  then begin
+    Fmt.epr "LIFELONG GATE: run 2 must behave identically with fewer instructions@.";
+    exit 1
+  end
 
 (* -- SAFECode-style bounds checking (section 4.1.2) --------------------------- *)
 
@@ -1628,25 +1632,18 @@ let pgo_bench ?(quick = false) () =
         let opt = ship_pgo p in
         let stats = Llvm_transforms.Pgo.optimize rep.aggregate opt in
         (* 3. behaviour identity on an input the fleet never ran *)
-        let base_run, base_prof, _ =
+        let base =
           Llvm_linker.Fleet.field_run ~kind:Llvm_exec.Engine.Interp_tier
             ~input:(Genprog.input_global, holdout) (ship_pgo p)
         in
-        let opt_run, _, _ =
+        let opt_run =
           Llvm_linker.Fleet.field_run ~kind:Llvm_exec.Engine.Tiered
             ~input:(Genprog.input_global, holdout) ~profile:rep.aggregate opt
         in
-        let same_status =
-          match (base_run.Llvm_exec.Interp.status, opt_run.Llvm_exec.Interp.status) with
-          | `Returned a, `Returned b -> a = b
-          | `Exited a, `Exited b -> a = b
-          | `Unwound, `Unwound -> true
-          | `Trapped a, `Trapped b -> a = b
-          | _ -> false
-        in
         if
-          (not same_status)
-          || base_run.Llvm_exec.Interp.output <> opt_run.Llvm_exec.Interp.output
+          Llvm_exec.Interp.show_status base.result
+          <> Llvm_exec.Interp.show_status opt_run.result
+          || base.result.output <> opt_run.result.output
         then begin
           Fmt.epr "BEHAVIOUR MISMATCH %s: speculation changed the program@."
             name;
@@ -1667,7 +1664,7 @@ let pgo_bench ?(quick = false) () =
         let icalls =
           (* indirect calls in one baseline run = guard executions in
              one optimized run (same input, deterministic program) *)
-          Llvm_profile.Profile.total_calls base_prof
+          Llvm_profile.Profile.total_calls base.profile
         in
         let speedup = base_s /. Float.max 1e-9 opt_s in
         let rate = float_of_int deopts /. float_of_int (max 1 icalls) in

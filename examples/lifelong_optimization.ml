@@ -6,6 +6,13 @@
    end-user run (3.5), and reoptimized in idle time using that field
    profile (3.6) — then run again, faster.
 
+   The hot [kernel] has four call sites and is over the static
+   inliner's size budget, so link-time IPO keeps every call; the field
+   profile shows the call in [main]'s loop is hot, and the
+   reoptimizer's bigger budget for hot sites inlines that one.
+   Exits non-zero unless run 2 prints the same output with fewer
+   instructions.
+
    Run with:  dune exec examples/lifelong_optimization.exe *)
 
 let library_unit =
@@ -33,10 +40,13 @@ static int mix_one(int v, int salt) {
 }
 int kernel(int row, int salt) {
   int acc = 0;
-  for (int c = 0; c < 4; c++) acc ^= mix_one(row + c, salt);
+  for (int c = 0; c < 4; c++) {
+    acc ^= mix_one(row + c, salt);
+    acc += mix_one(acc & 1023, c);
+  }
   return acc;
 }
-int rarely_used(int x) { return kernel(x, 1) + kernel(x, 2); }
+int rarely_used(int x) { return kernel(x, 1) + kernel(x, 2) + kernel(x, 3); }
 |}
 
 let app_unit =
@@ -75,31 +85,31 @@ let () =
     exe.Llvm_linker.Lifelong.native_x86_bytes;
 
   (* 4. an end-user run, with the lightweight profiling instrumentation *)
-  let report = Llvm_linker.Lifelong.run_in_the_field exe in
-  let r1 = report.Llvm_linker.Lifelong.result in
-  Fmt.pr "field run 1: output %S, %d instructions@." r1.Llvm_exec.Interp.output
-    r1.Llvm_exec.Interp.instructions;
+  let field_run (exe : Llvm_linker.Lifelong.executable) =
+    Llvm_linker.Fleet.field_run exe.program
+  in
+  let run1 = field_run exe in
+  let r1 = run1.result in
+  Fmt.pr "field run 1: output %S, %d instructions@." r1.output r1.instructions;
   Fmt.pr "profile (function entry counts, from the user's run):@.";
   List.iteri
-    (fun k (name, count) ->
-      if k < 4 then Fmt.pr "  %-16s %8d@." name count)
-    (Llvm_linker.Lifelong.hot_functions exe report);
+    (fun k (name, count) -> if k < 4 then Fmt.pr "  %-16s %8d@." name count)
+    (Llvm_profile.Profile.hot_functions run1.profile exe.program);
 
   (* 5. idle-time reoptimization driven by that profile *)
-  let reopt = Llvm_linker.Lifelong.reoptimize_with_profile exe report in
+  let before = Llvm_ir.Ir.module_instr_count exe.program in
+  let exe, stats = Llvm_linker.Lifelong.reoptimize exe run1.profile in
   Fmt.pr "idle-time reoptimizer: %d hot call sites inlined (%d -> %d instrs)@."
-    reopt.Llvm_linker.Lifelong.inlined_hot_calls
-    reopt.Llvm_linker.Lifelong.before_instrs
-    reopt.Llvm_linker.Lifelong.after_instrs;
+    stats.inlined before
+    (Llvm_ir.Ir.module_instr_count exe.program);
 
   (* 6. the next run is faster, with identical behaviour *)
-  let report2 = Llvm_linker.Lifelong.run_in_the_field exe in
-  let r2 = report2.Llvm_linker.Lifelong.result in
-  assert (r1.Llvm_exec.Interp.output = r2.Llvm_exec.Interp.output);
-  Fmt.pr "field run 2: output %S, %d instructions (%.1f%% fewer)@."
-    r2.Llvm_exec.Interp.output r2.Llvm_exec.Interp.instructions
-    (100.
-    *. (1.
-       -. float_of_int r2.Llvm_exec.Interp.instructions
-          /. float_of_int r1.Llvm_exec.Interp.instructions));
-  Emit_sample.emit "lifelong_optimization" exe.Llvm_linker.Lifelong.program
+  let r2 = (field_run exe).result in
+  Fmt.pr "field run 2: output %S, %d instructions (%.1f%% fewer)@." r2.output
+    r2.instructions
+    (100. *. (1. -. (float_of_int r2.instructions /. float_of_int r1.instructions)));
+  Emit_sample.emit "lifelong_optimization" exe.program;
+  if r1.output <> r2.output || r2.instructions >= r1.instructions then begin
+    prerr_endline "run 2 must print the same output with fewer instructions";
+    exit 1
+  end

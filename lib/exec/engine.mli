@@ -70,7 +70,10 @@ val compile_all : t -> int * int
 
 (** Build the machine, run [main], and report traps and [exit()]s
     raised anywhere — including during global-initializer
-    materialization — as a result rather than an exception. *)
+    materialization — as a result rather than an exception.  Also
+    returns the machine's [block_counts] (block id -> executions;
+    empty unless [profiling] or [Tiered]), keyed by id so that inlined
+    clones sharing a block name stay distinct. *)
 val run_main :
   ?fuel:int ->
   ?hot_threshold:int ->
@@ -78,4 +81,4 @@ val run_main :
   ?profile:Llvm_profile.Profile.t ->
   kind ->
   Llvm_ir.Ir.modul ->
-  Interp.run_result * Interp.profile
+  Interp.run_result * (int, int) Hashtbl.t

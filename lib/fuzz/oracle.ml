@@ -135,26 +135,14 @@ type obs = {
 }
 
 let observe ?profile (kind : Llvm_exec.Engine.kind) (m : modul) : obs =
-  let r, p = Llvm_exec.Engine.run_main ~fuel ~profiling:true ?profile kind m in
-  let fuel_out = ref false in
-  let status =
-    match r.Llvm_exec.Interp.status with
-    | `Returned v -> Fmt.str "returned %a" Llvm_exec.Interp.pp_rtval v
-    | `Unwound -> "unwound"
-    | `Exited c -> Fmt.str "exited %d" c
-    | `Trapped msg ->
-      if msg = "out of fuel (infinite loop?)" then fuel_out := true;
-      "trapped: " ^ msg
-  in
-  { ob_status = status;
+  let r, counts = Llvm_exec.Engine.run_main ~fuel ~profiling:true ?profile kind m in
+  { ob_status = Llvm_exec.Interp.show_status r;
     ob_output = r.Llvm_exec.Interp.output;
     ob_instrs = r.Llvm_exec.Interp.instructions;
     ob_profile =
-      List.sort compare
-        (Hashtbl.fold
-           (fun k v acc -> (k, v) :: acc)
-           p.Llvm_exec.Interp.counts []);
-    ob_fuel_out = !fuel_out }
+      List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts []);
+    ob_fuel_out =
+      r.Llvm_exec.Interp.status = `Trapped "out of fuel (infinite loop?)" }
 
 (* Behaviour only (status + output): the module may have been
    transformed, so instruction counts and profiles are not comparable. *)
@@ -319,20 +307,10 @@ let opt_oracle =
    name, so the profile's keys apply to the original module.  [None]
    when the module cannot even be materialized. *)
 let train_profile (m : modul) : Llvm_profile.Profile.t option =
-  let t = clone m in
   match
-    let e =
-      Llvm_exec.Engine.create ~profiling:true Llvm_exec.Engine.Interp_tier t
-    in
-    let mach = e.Llvm_exec.Engine.mach in
-    (match find_func t "main" with
-    | Some main -> ignore (Llvm_exec.Interp.run_function ~fuel mach main [])
-    | None -> ());
-    Llvm_profile.Profile.of_run t
-      ~block_counts:mach.Llvm_exec.Interp.block_counts
-      ~call_counts:mach.Llvm_exec.Interp.call_counts
+    Llvm_linker.Fleet.field_run ~fuel ~kind:Llvm_exec.Engine.Interp_tier (clone m)
   with
-  | p -> Some p
+  | run -> Some run.profile
   | exception _ -> None
 
 (* Aggressive thresholds: any site whose hottest target took half the

@@ -18,11 +18,20 @@ open Llvm_ir
 open Ir
 module Profile = Llvm_profile.Profile
 
+(* One instrumented end-user run. *)
+type field = {
+  result : Llvm_exec.Interp.run_result;
+  profile : Profile.t; (* this run's own one-run profile *)
+  promoted : (string * int) list;
+      (* functions the tiered engine compiled to bytecode mid-run, with
+         the entry count that triggered each promotion *)
+  deopts : int; (* failed speculation guards *)
+}
+
 type run = {
   input : int; (* the value poked into the environment global *)
   weight : int; (* simulated machines that executed this input *)
-  result : Llvm_exec.Interp.run_result;
-  deopts : int;
+  field : field;
   file : string; (* where this run's profile persists *)
 }
 
@@ -50,12 +59,13 @@ let poke_input (mach : Llvm_exec.Interp.machine) (m : modul) (name : string)
       Llvm_exec.Interp.store_sized mach addr ~size:4
         (Llvm_exec.Interp.Rint (Ltype.Int, Int64.of_int value)))
 
-(* One simulated end-user run: instrumented, under the given engine
-   kind (the field default is [Tiered]), optionally with a per-run
-   input.  Returns the observable result plus the run's own profile. *)
+(* One end-user run with the section 3.5 instrumentation on, under the
+   given engine kind (the field default is [Tiered]: execution starts
+   in the interpreter and the same counts drive hot-function promotion
+   to bytecode), optionally with a per-run input and an earlier
+   aggregate for hot/cold block layout. *)
 let field_run ?(fuel = default_fuel) ?(kind = Llvm_exec.Engine.Tiered)
-    ?input ?profile (m : modul) :
-    Llvm_exec.Interp.run_result * Profile.t * int =
+    ?input ?profile (m : modul) : field =
   let e = Llvm_exec.Engine.create ~profiling:true ?profile kind m in
   let mach = e.Llvm_exec.Engine.mach in
   (match input with
@@ -68,11 +78,12 @@ let field_run ?(fuel = default_fuel) ?(kind = Llvm_exec.Engine.Tiered)
       { Llvm_exec.Interp.status = `Trapped "no main function"; output = "";
         instructions = 0 }
   in
-  let p =
-    Profile.of_run m ~block_counts:mach.Llvm_exec.Interp.block_counts
-      ~call_counts:mach.Llvm_exec.Interp.call_counts
-  in
-  (result, p, Llvm_exec.Engine.deopts e)
+  { result;
+    profile =
+      Profile.of_run m ~block_counts:mach.Llvm_exec.Interp.block_counts
+        ~call_counts:mach.Llvm_exec.Interp.call_counts;
+    promoted = Llvm_exec.Engine.promotions e;
+    deopts = Llvm_exec.Engine.deopts e }
 
 let rec ensure_dir (dir : string) : unit =
   if not (Sys.file_exists dir) then begin
@@ -92,12 +103,10 @@ let simulate ?fuel ?kind ?(input_global = "fleet_input") ~(dir : string)
   let runs =
     List.map
       (fun (input, weight) ->
-        let result, p, deopts =
-          field_run ?fuel ?kind ~input:(input_global, input) m
-        in
+        let field = field_run ?fuel ?kind ~input:(input_global, input) m in
         let file = Filename.concat dir (Printf.sprintf "run%d.llpf" input) in
-        Profile.save file p;
-        { input; weight; result; deopts; file })
+        Profile.save file field.profile;
+        { input; weight; field; file })
       schedule
   in
   let aggregate = Profile.empty () in

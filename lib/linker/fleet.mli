@@ -10,11 +10,20 @@
     profiles re-read from disk, exercising the binary format on the
     same path field data would take. *)
 
+(** One instrumented end-user run. *)
+type field = {
+  result : Llvm_exec.Interp.run_result;
+  profile : Llvm_profile.Profile.t;  (** the run's own one-run profile *)
+  promoted : (string * int) list;
+      (** functions the tiered engine compiled to bytecode mid-run, with
+          the entry count that triggered each promotion *)
+  deopts : int;  (** failed speculation guards *)
+}
+
 type run = {
   input : int;  (** the value poked into the environment global *)
   weight : int;  (** simulated machines that executed this input *)
-  result : Llvm_exec.Interp.run_result;
-  deopts : int;
+  field : field;
   file : string;  (** where this run's profile persists *)
 }
 
@@ -27,18 +36,18 @@ type report = {
 
 val default_fuel : int
 
-(** One simulated end-user run: instrumented, under [kind] (default
-    [Tiered]), with [input = (global, value)] poked into the program's
-    environment global first and [profile] (if any) driving hot/cold
-    block layout.  Returns the result, the run's own one-run profile,
-    and the run's failed-guard count. *)
+(** One end-user run (section 3.5): instrumented, under [kind]
+    (default [Tiered]: interpretation plus hot-function promotion to
+    bytecode), with [input = (global, value)] poked into the program's
+    environment global first and [profile] (an earlier aggregate, if
+    any) driving hot/cold block layout. *)
 val field_run :
   ?fuel:int ->
   ?kind:Llvm_exec.Engine.kind ->
   ?input:string * int ->
   ?profile:Llvm_profile.Profile.t ->
   Llvm_ir.Ir.modul ->
-  Llvm_exec.Interp.run_result * Llvm_profile.Profile.t * int
+  field
 
 (** [simulate ~dir ~schedule m] runs the program once per distinct
     [(input, weight)] of the schedule, persists each run's profile

@@ -9,8 +9,7 @@
    optimizations (fewer calls after inlining, fewer instructions after
    simplification) that native execution would. *)
 
-open Llvm_ir
-open Ir
+open Llvm_ir.Ir
 open Llvm_transforms
 
 type executable = {
@@ -20,26 +19,8 @@ type executable = {
   bitcode : string; (* persistent IR shipped alongside native code *)
 }
 
-type run_report = {
-  result : Llvm_exec.Interp.run_result;
-  profile : Llvm_exec.Interp.profile;
-  promoted : (string * int) list;
-      (* functions the tiered engine compiled to bytecode mid-run, with
-         the entry count that triggered each promotion *)
-}
-
-type reoptimization = {
-  hot_functions : (string * int) list; (* entry counts from the field *)
-  inlined_hot_calls : int;
-  before_instrs : int;
-  after_instrs : int;
-}
-
-(* Compile-and-link: the static half of the pipeline. *)
-let build ?(ipo = true) (modules : modul list) : executable =
-  let program = Link.link modules in
-  Link.internalize program;
-  if ipo then ignore (Pass.run_sequence Pipelines.link_time_ipo program);
+(* Generate the native images and the persistent bitcode for [program]. *)
+let ship (program : modul) : executable =
   let bitcode, _ = Llvm_bitcode.Encoder.encode ~strip:true program in
   { program;
     native_x86_bytes = Llvm_codegen.Emit.code_size Llvm_codegen.Target.x86ish program;
@@ -47,105 +28,22 @@ let build ?(ipo = true) (modules : modul list) : executable =
       Llvm_codegen.Emit.code_size Llvm_codegen.Target.sparcish program;
     bitcode }
 
-(* An end-user run with the lightweight instrumentation enabled
-   (section 3.5), under the tiered engine: execution starts in the
-   interpreter and the profile instrumentation that feeds the
-   reoptimizer also drives hot-function promotion to bytecode. *)
-let run_in_the_field ?fuel ?profile (exe : executable) : run_report =
-  let e = Llvm_exec.Engine.create ?profile Llvm_exec.Engine.Tiered exe.program in
-  let result =
-    match find_func exe.program "main" with
-    | Some main -> Llvm_exec.Interp.run_function ?fuel e.Llvm_exec.Engine.mach main []
-    | None ->
-      { Llvm_exec.Interp.status = `Trapped "no main function"; output = "";
-        instructions = 0 }
-  in
-  { result;
-    profile =
-      { Llvm_exec.Interp.counts =
-          e.Llvm_exec.Engine.mach.Llvm_exec.Interp.block_counts };
-    promoted = Llvm_exec.Engine.promotions e }
-
-let hot_functions (exe : executable) (report : run_report) :
-    (string * int) list =
-  List.filter_map
-    (fun f ->
-      if is_declaration f then None
-      else
-        let n = Llvm_exec.Interp.func_count report.profile f in
-        if n > 0 then Some (f.fname, n) else None)
-    exe.program.mfuncs
-  (* count descending, ties by name, so reports are stable across runs *)
-  |> List.sort (fun (na, a) (nb, b) ->
-         if a <> b then compare b a else compare na nb)
+(* Compile-and-link: the static half of the pipeline. *)
+let build ?(ipo = true) (modules : modul list) : executable =
+  let program = Link.link modules in
+  Link.internalize program;
+  if ipo then ignore (Pass.run_sequence Pipelines.link_time_ipo program);
+  ship program
 
 (* The idle-time reoptimizer (section 3.6): "a modified version of the
    link-time interprocedural optimizer, but with a greater emphasis on
-   profile-driven ... optimizations".  Here: call sites residing in hot
-   blocks are inlined regardless of the static inliner's size budget,
-   then the usual cleanup pipeline reruns. *)
-let reoptimize_with_profile ?(hot_threshold = 100) (exe : executable)
-    (report : run_report) : reoptimization =
-  let m = exe.program in
-  let before_instrs = module_instr_count m in
-  let hot = hot_functions exe report in
-  let inlined = ref 0 in
-  let continue_ = ref true in
-  let rounds = ref 0 in
-  while !continue_ && !rounds < 4 do
-    continue_ := false;
-    incr rounds;
-    List.iter
-      (fun caller ->
-        if not (is_declaration caller) then begin
-          let site = ref None in
-          iter_instrs
-            (fun i ->
-              if !site = None && (i.iop = Call || i.iop = Invoke) then
-                match (i.iparent, call_callee i) with
-                | Some blk, Vfunc callee
-                  when (not (is_declaration callee))
-                       && (not (callee == caller))
-                       && Llvm_exec.Interp.block_count report.profile blk
-                          >= hot_threshold
-                       && instr_count callee <= 400 ->
-                  (* recursive callees are cloned once, not expanded *)
-                  let cg = Llvm_analysis.Callgraph.compute m in
-                  if not (Llvm_analysis.Callgraph.is_recursive cg callee) then
-                    site := Some i
-                | _ -> ())
-            caller;
-          match !site with
-          | Some i ->
-            if Inline.inline_call_site caller i then begin
-              incr inlined;
-              continue_ := true
-            end
-          | None -> ()
-        end)
-      m.mfuncs
-  done;
-  ignore (Pass.run_sequence Pipelines.per_module m);
-  ignore (Pass.run_pass Dge.pass m);
-  { hot_functions = hot;
-    inlined_hot_calls = !inlined;
-    before_instrs;
-    after_instrs = module_instr_count m }
-
-(* The fleet-scale half of the reoptimizer: a merged cross-run
-   aggregate ({!Fleet.simulate}) drives speculative indirect-call
-   promotion plus profile-guided inlining, then the cleanup pipeline
-   reruns and the executable's persistent bitcode is refreshed — the
-   next field runs download the reoptimized image. *)
-let reoptimize_with_aggregate ?min_count ?min_share (exe : executable)
-    (p : Llvm_profile.Profile.t) : executable * Llvm_transforms.Pgo.stats =
-  let stats = Pgo.optimize ?min_count ?min_share p exe.program in
+   profile-driven ... optimizations".  The field profile drives
+   speculative indirect-call promotion plus profile-guided inlining,
+   then the cleanup pipeline reruns and the executable's persistent
+   bitcode and native images are refreshed — the next field runs
+   download the reoptimized image. *)
+let reoptimize (exe : executable) (p : Llvm_profile.Profile.t) :
+    executable * Pgo.stats =
+  let stats = Pgo.optimize p exe.program in
   ignore (Pass.run_sequence Pipelines.per_module exe.program);
-  let bitcode, _ = Llvm_bitcode.Encoder.encode ~strip:true exe.program in
-  ( { exe with
-      bitcode;
-      native_x86_bytes =
-        Llvm_codegen.Emit.code_size Llvm_codegen.Target.x86ish exe.program;
-      native_sparc_bytes =
-        Llvm_codegen.Emit.code_size Llvm_codegen.Target.sparcish exe.program },
-    stats )
+  (ship exe.program, stats)

@@ -1,8 +1,8 @@
 (** The lifelong compilation pipeline of Figure 4: front-ends emit IR,
     the linker + IPO combine it, native code is generated offline with
     the bitcode preserved in the executable, end-user runs are profiled
-    (section 3.5), and an idle-time reoptimizer applies profile-guided
-    transformations (section 3.6). *)
+    ({!Fleet.field_run}, section 3.5), and an idle-time reoptimizer
+    applies profile-guided transformations (section 3.6). *)
 
 type executable = {
   program : Llvm_ir.Ir.modul;  (** the linked, optimized IR *)
@@ -11,48 +11,15 @@ type executable = {
   bitcode : string;  (** persistent IR shipped alongside native code *)
 }
 
-type run_report = {
-  result : Llvm_exec.Interp.run_result;
-  profile : Llvm_exec.Interp.profile;
-  promoted : (string * int) list;
-      (** functions the tiered engine compiled to bytecode mid-run, with
-          the entry count that triggered each promotion *)
-}
-
-type reoptimization = {
-  hot_functions : (string * int) list;
-  inlined_hot_calls : int;
-  before_instrs : int;
-  after_instrs : int;
-}
-
 (** Link, internalize, optionally run link-time IPO, and generate the
     native images + the preserved bitcode. *)
 val build : ?ipo:bool -> Llvm_ir.Ir.modul list -> executable
 
-(** One end-user run with the lightweight profiling instrumentation,
-    under the tiered engine: interpretation plus hot-function promotion
-    to bytecode.  With [profile], an earlier aggregate drives hot/cold
-    block layout in the bytecode tier. *)
-val run_in_the_field :
-  ?fuel:int -> ?profile:Llvm_profile.Profile.t -> executable -> run_report
-
-val hot_functions : executable -> run_report -> (string * int) list
-
-(** The idle-time reoptimizer: inline call sites residing in
-    profile-hot blocks (entry count >= [hot_threshold]) regardless of
-    the static inliner's size budget, then rerun the cleanup pipeline. *)
-val reoptimize_with_profile :
-  ?hot_threshold:int -> executable -> run_report -> reoptimization
-
-(** The fleet-scale reoptimizer: a merged cross-run aggregate
-    ({!Fleet.simulate}) drives speculative call promotion with deopt
-    guards plus profile-guided inlining ({!Llvm_transforms.Pgo}), the
-    cleanup pipeline reruns, and the persistent bitcode and native
-    images are refreshed. *)
-val reoptimize_with_aggregate :
-  ?min_count:int ->
-  ?min_share:float ->
-  executable ->
-  Llvm_profile.Profile.t ->
-  executable * Llvm_transforms.Pgo.stats
+(** The idle-time reoptimizer: a field profile — one run's, or a fleet
+    aggregate merged by {!Fleet.simulate} — drives speculative call
+    promotion with deopt guards plus profile-guided inlining
+    ({!Llvm_transforms.Pgo.optimize}), the cleanup pipeline reruns, and
+    the persistent bitcode and native images are refreshed.  Rewrites
+    [program] in place. *)
+val reoptimize :
+  executable -> Llvm_profile.Profile.t -> executable * Llvm_transforms.Pgo.stats

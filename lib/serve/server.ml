@@ -181,14 +181,7 @@ let observe (fuel : int) (m : Ir.modul) : behaviour =
   | None -> No_main
   | Some _ ->
     let r, _ = Engine.run_main ~fuel Engine.Interp_tier m in
-    let status =
-      match r.Interp.status with
-      | `Returned v -> Fmt.str "returned %a" Interp.pp_rtval v
-      | `Unwound -> "unwound"
-      | `Exited c -> Fmt.str "exited %d" c
-      | `Trapped msg -> "trapped: " ^ msg
-    in
-    Ran (status, r.Interp.output)
+    Ran (Interp.show_status r, r.Interp.output)
 
 (* [reference] must be a freshly loaded module (the pipelines mutate in
    place); compares it against the optimized module. *)

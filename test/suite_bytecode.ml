@@ -167,16 +167,9 @@ let test_fuel_parity () =
   for fuel = 1 to 150 do
     let ri, _ = Engine.run_main ~fuel Engine.Interp_tier m in
     let rb, _ = Engine.run_main ~fuel Engine.Bytecode_tier m in
-    let show (r : Interp.run_result) =
-      match r.Interp.status with
-      | `Returned v -> Fmt.str "returned %a" Interp.pp_rtval v
-      | `Unwound -> "unwound"
-      | `Exited c -> Fmt.str "exited %d" c
-      | `Trapped msg -> "trapped: " ^ msg
-    in
     Alcotest.(check string)
       (Fmt.str "fuel %d status" fuel)
-      (show ri) (show rb);
+      (Interp.show_status ri) (Interp.show_status rb);
     Alcotest.(check int)
       (Fmt.str "fuel %d instructions" fuel)
       ri.Interp.instructions rb.Interp.instructions

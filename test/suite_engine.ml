@@ -21,20 +21,12 @@ type snap = {
   profile : (int * int) list;
 }
 
-let snapshot (r : Interp.run_result) (p : Interp.profile) : snap =
-  let status =
-    match r.Interp.status with
-    | `Returned v -> Fmt.str "returned %a" Interp.pp_rtval v
-    | `Unwound -> "unwound"
-    | `Exited c -> Fmt.str "exited %d" c
-    | `Trapped msg -> "trapped: " ^ msg
-  in
-  { status;
+let snapshot (r : Interp.run_result) (counts : (int, int) Hashtbl.t) : snap =
+  { status = Interp.show_status r;
     output = r.Interp.output;
     instructions = r.Interp.instructions;
     profile =
-      List.sort compare
-        (Hashtbl.fold (fun k v acc -> (k, v) :: acc) p.Interp.counts []) }
+      List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts []) }
 
 let run_kind ?(fuel = fuel) (kind : Engine.kind) (m : Ir.modul) : snap =
   let r, p = Engine.run_main ~fuel ~profiling:true kind m in
@@ -169,6 +161,44 @@ let test_div_trap_in_all_tiers () =
   Alcotest.(check bool) "division by zero still traps" true
     (Astring_contains.contains reference.status "division by zero")
 
+(* A fleet's merged profile must not depend on the tier that ran the
+   field: block and call-target counts, persisted to disk and merged,
+   serialize to the same .llpf bytes under every engine kind. *)
+let check_llpf_tiers_agree name ~schedule (m : Ir.modul) =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "llpf_tiers_%d" (Unix.getpid ()))
+  in
+  let llpf kind =
+    let rep =
+      Llvm_linker.Fleet.simulate ~fuel ~kind ~input_global:Genprog.input_global
+        ~dir ~schedule m
+    in
+    List.iter (fun (r : Llvm_linker.Fleet.run) -> Sys.remove r.file) rep.runs;
+    Llvm_profile.Profile.to_bytes rep.aggregate
+  in
+  let reference = llpf Engine.Interp_tier in
+  List.iter
+    (fun kind ->
+      Alcotest.(check string)
+        (Fmt.str "%s: %s .llpf bytes" name (Engine.kind_name kind))
+        reference (llpf kind))
+    [ Engine.Bytecode_tier; Engine.Tiered ];
+  Sys.rmdir dir;
+  Llvm_profile.Profile.of_bytes reference
+
+let test_llpf_tiers_agree () =
+  let p = Spec.quick (List.hd Spec.spec2000) in
+  let agg =
+    check_llpf_tiers_agree p.Genprog.p_name
+      ~schedule:(Llvm_linker.Fleet.zipf_schedule ~distinct:3 ~total:20)
+      (Genprog.compile p)
+  in
+  Alcotest.(check bool) "genprog dispatchers recorded call targets" true
+    (Llvm_profile.Profile.call_sites agg > 0);
+  let name, src = List.hd Ehprog.programs in
+  ignore (check_llpf_tiers_agree name ~schedule:[ (1, 1) ] (Ehprog.compile name src))
+
 (* -- Speculative promotion and deoptimization ------------------------------
 
    A fleet profile promotes a biased indirect call into a guarded
@@ -179,15 +209,14 @@ let test_div_trap_in_all_tiers () =
 (* One instrumented interpreter run of a fresh copy of [src], keyed by
    name so it survives recompilation. *)
 let train_profile (src : string) : Llvm_profile.Profile.t =
-  let m = Llvm_minic.Codegen.compile_string src in
-  let e = Engine.create ~profiling:true Engine.Interp_tier m in
-  let main = Option.get (Ir.find_func m "main") in
-  (match (Interp.run_function ~fuel e.Engine.mach main []).Interp.status with
+  let run =
+    Llvm_linker.Fleet.field_run ~fuel ~kind:Engine.Interp_tier
+      (Llvm_minic.Codegen.compile_string src)
+  in
+  (match run.result.status with
   | `Returned _ | `Exited _ -> ()
   | _ -> Alcotest.fail "training run did not complete");
-  Llvm_profile.Profile.of_run m
-    ~block_counts:e.Engine.mach.Interp.block_counts
-    ~call_counts:e.Engine.mach.Interp.call_counts
+  run.profile
 
 (* Promote under the trained profile and check: the module stays valid,
    the tiers still agree with each other, and behavior is identical to
@@ -292,6 +321,8 @@ let tests =
       test_fast_ops_compiled_and_agree;
     Alcotest.test_case "division by zero traps in every tier" `Quick
       test_div_trap_in_all_tiers;
+    Alcotest.test_case "merged field profiles serialize identically across tiers"
+      `Quick test_llpf_tiers_agree;
     Alcotest.test_case "speculation deopts when the target flips mid-run"
       `Quick test_speculation_deopt_midrun;
     Alcotest.test_case "speculation never deopts on a monomorphic site"

@@ -167,11 +167,15 @@ let test_profile_counts () =
   let f = Option.get (find_func m "fact") in
   let r = Builder.build_call b (Vfunc f) [ Vconst (cint Ltype.Int 10L) ] in
   ignore (Builder.build_ret b (Some r));
-  let result, profile = Interp.run_main_with_profile m in
+  let result, block_counts = Engine.run_main ~profiling:true Engine.Interp_tier m in
   ignore (ret_int result);
+  let profile =
+    Llvm_profile.Profile.of_run m ~block_counts ~call_counts:(Hashtbl.create 1)
+  in
   let body = List.nth f.fblocks 2 in
-  check_int "loop body runs 10 times" 10 (Interp.block_count profile body);
-  check_int "fact entered once" 1 (Interp.func_count profile f)
+  check_int "loop body runs 10 times" 10
+    (Llvm_profile.Profile.block_weight profile ~func:"fact" ~block:body.bname);
+  check_int "fact entered once" 1 (Llvm_profile.Profile.func_weight profile f)
 
 let test_global_state () =
   (* A global counter incremented in a loop; checks global init + load/store. *)

@@ -134,6 +134,8 @@ let hot_program =
        return total & 63;
      } |}
 
+let field_run (exe : Lifelong.executable) = Fleet.field_run exe.Lifelong.program
+
 let test_lifelong_pipeline () =
   let unit1 = compile ~name:"app" hot_program in
   let exe = Lifelong.build ~ipo:false [ unit1 ] in
@@ -142,33 +144,50 @@ let test_lifelong_pipeline () =
   Alcotest.(check bool) "native code generated" true
     (exe.Lifelong.native_x86_bytes > 0 && exe.Lifelong.native_sparc_bytes > 0);
   (* first end-user run gathers a profile *)
-  let report = Lifelong.run_in_the_field exe in
-  let baseline_instrs = report.Lifelong.result.Llvm_exec.Interp.instructions in
-  let hot = Lifelong.hot_functions exe report in
+  let run1 = field_run exe in
+  let hot = Llvm_profile.Profile.hot_functions run1.profile exe.program in
   Alcotest.(check bool) "hot_helper detected as hot" true
     (match List.assoc_opt "hot_helper" hot with
     | Some n -> n >= 400
     | None -> false);
   (* idle-time reoptimization with the field profile *)
-  let reopt = Lifelong.reoptimize_with_profile exe report in
-  Alcotest.(check bool) "hot call inlined" true (reopt.Lifelong.inlined_hot_calls >= 1);
+  let exe, stats = Lifelong.reoptimize exe run1.profile in
+  Alcotest.(check bool) "hot call inlined" true
+    (stats.Llvm_transforms.Pgo.inlined >= 1);
   (* second run: same behaviour, fewer executed instructions *)
-  let report2 = Lifelong.run_in_the_field exe in
+  let run2 = field_run exe in
+  let returned (r : Llvm_exec.Interp.run_result) what =
+    match r.status with
+    | `Returned v -> Fmt.str "%a" Llvm_exec.Interp.pp_rtval v
+    | _ -> Alcotest.fail (what ^ " run failed")
+  in
   Alcotest.(check string) "behaviour preserved"
-    (Fmt.str "%a" Llvm_exec.Interp.pp_rtval
-       (match report.Lifelong.result.Llvm_exec.Interp.status with
-       | `Returned v -> v
-       | _ -> Alcotest.fail "first run failed"))
-    (Fmt.str "%a" Llvm_exec.Interp.pp_rtval
-       (match report2.Lifelong.result.Llvm_exec.Interp.status with
-       | `Returned v -> v
-       | _ -> Alcotest.fail "second run failed"));
-  let after_instrs = report2.Lifelong.result.Llvm_exec.Interp.instructions in
+    (returned run1.result "first")
+    (returned run2.result "second");
+  let baseline_instrs = run1.result.instructions in
+  let after_instrs = run2.result.instructions in
   Alcotest.(check bool)
     (Printf.sprintf "faster after reoptimization (%d -> %d)" baseline_instrs
        after_instrs)
     true
     (after_instrs < baseline_instrs)
+
+(* The refreshed bitcode is what the next field runs download, so it
+   must be the reoptimized program, not the image [build] shipped. *)
+let test_reoptimize_ships_bitcode () =
+  let exe = Lifelong.build ~ipo:false [ compile ~name:"app" hot_program ] in
+  let run1 = field_run exe in
+  let exe, _ = Lifelong.reoptimize exe run1.profile in
+  let shipped = Llvm_bitcode.Decoder.decode exe.bitcode in
+  Verify.assert_valid shipped;
+  Alcotest.(check int) "shipped instruction count"
+    (Ir.module_instr_count exe.program)
+    (Ir.module_instr_count shipped);
+  let run2 = Fleet.field_run shipped in
+  Alcotest.(check string) "shipped status"
+    (Llvm_exec.Interp.show_status run1.result)
+    (Llvm_exec.Interp.show_status run2.result);
+  Alcotest.(check string) "shipped output" run1.result.output run2.result.output
 
 let tests =
   [ Alcotest.test_case "declarations resolve to definitions" `Quick
@@ -184,4 +203,6 @@ let tests =
     Alcotest.test_case "internalize enables whole-program DGE" `Quick
       test_internalize_enables_dge;
     Alcotest.test_case "lifelong: build, profile, reoptimize" `Quick
-      test_lifelong_pipeline ]
+      test_lifelong_pipeline;
+    Alcotest.test_case "lifelong: reoptimize ships the optimized bitcode"
+      `Quick test_reoptimize_ships_bitcode ]
