@@ -819,342 +819,6 @@ let micro () =
     results;
   say ""
 
-(* -- Compilation-as-a-service fleet replay ----------------------------------- *)
-
-(* Replays a synthetic fleet against the in-process serving layer
-   (lib/serve): thousands of sessions compile, lint, run and link
-   modules drawn zipf-distributed from a universe built over the
-   genprog/eh workloads — the "millions of users compiling overlapping
-   code" traffic shape of the lifelong-compilation story.  Reports
-   throughput, p50/p99 latency and cache hit rate (BENCH_serve.json),
-   differentially checks that served bytes are identical to direct
-   pipeline runs, and self-tests the validation gate with the fuzzer's
-   deliberately-wrong inject-sub-swap pass. *)
-
-let percentile (sorted : float array) (q : float) : float =
-  match Array.length sorted with
-  | 0 -> 0.0
-  | n ->
-    let k = int_of_float (q *. float_of_int (n - 1)) in
-    sorted.(min (n - 1) k)
-
-(* The synthetic fleet shared by serve_bench and chaos_bench: a
-   universe of bitcode payloads (quick-profile Table-1 variants plus
-   the exception-heavy programs), a fixed random rank permutation, a
-   zipf(s=1.1) popularity law over it, and shared-library sets for
-   link batches. *)
-type fleet = {
-  fl_universe : (string * string * bool) array; (* name, payload, is_eh *)
-  fl_perm : int array;
-  fl_zipf_cum : float array;
-  fl_zipf_total : float;
-  fl_libsets : string list;
-  fl_genprog : int;
-  fl_eh : int;
-}
-
-let build_fleet ~(variants : int) (rng : Rng.t) : fleet =
-  (* universe: quick-profile variants of the Table-1 workloads plus the
-     exception-heavy programs, pre-serialized to bitcode payloads *)
-  let genprog_universe =
-    List.concat_map
-      (fun p ->
-        List.init variants (fun v ->
-            let q = Spec.quick p in
-            let q =
-              { q with
-                Genprog.p_name = Printf.sprintf "%s.v%d" p.Genprog.p_name v;
-                Genprog.seed = q.Genprog.seed + (101 * v) }
-            in
-            let m = Genprog.compile q in
-            (q.Genprog.p_name, fst (Llvm_bitcode.Encoder.encode m), false)))
-      Spec.spec2000
-  in
-  let eh_universe =
-    List.map
-      (fun (name, src) ->
-        (name, fst (Llvm_bitcode.Encoder.encode (Ehprog.compile name src)), true))
-      Ehprog.programs
-  in
-  let universe = Array.of_list (genprog_universe @ eh_universe) in
-  let nuniv = Array.length universe in
-  (* rank -> universe index: a fixed random permutation so popularity is
-     not correlated with generation order *)
-  let perm = Array.init nuniv (fun i -> i) in
-  for i = nuniv - 1 downto 1 do
-    let j = Rng.int rng (i + 1) in
-    let t = perm.(i) in
-    perm.(i) <- perm.(j);
-    perm.(j) <- t
-  done;
-  (* zipf(s=1.1) over ranks *)
-  let zipf_cum =
-    let w = Array.init nuniv (fun k -> 1.0 /. (float_of_int (k + 1) ** 1.1)) in
-    let acc = ref 0.0 in
-    Array.map
-      (fun x ->
-        acc := !acc +. x;
-        !acc)
-      w
-  in
-  (* shared libraries for link batches: MiniC modules with no main and
-     service-unique symbol names *)
-  let libsets =
-    List.init 3 (fun i ->
-        let src =
-          Printf.sprintf
-            {|
-int svclib_mix_%d(int x) {
-  int acc = x + %d;
-  for (int k = 0; k < 64; k++) { acc = (acc * 33 + k) & 65535; }
-  return acc;
-}
-int svclib_sum_%d(int n) {
-  int s = 0;
-  for (int i = 0; i < n; i++) s = s + svclib_mix_%d(i);
-  return s;
-}
-|}
-            i (17 * i) i i
-        in
-        let m =
-          Llvm_minic.Codegen.compile_string
-            ~name:(Printf.sprintf "svclib%d" i)
-            src
-        in
-        fst (Llvm_bitcode.Encoder.encode m))
-  in
-  { fl_universe = universe; fl_perm = perm; fl_zipf_cum = zipf_cum;
-    fl_zipf_total = zipf_cum.(nuniv - 1); fl_libsets = libsets;
-    fl_genprog = List.length genprog_universe;
-    fl_eh = List.length eh_universe }
-
-let sample_fleet (fl : fleet) (rng : Rng.t) : string * string * bool =
-  let nuniv = Array.length fl.fl_universe in
-  let u =
-    float_of_int (Rng.int rng 1_000_000) /. 1_000_000.0 *. fl.fl_zipf_total
-  in
-  let rec search lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if fl.fl_zipf_cum.(mid) < u then search (mid + 1) hi else search lo mid
-  in
-  fl.fl_universe.(fl.fl_perm.(search 0 (nuniv - 1)))
-
-let serve_bench ?(quick = false) () =
-  say "Compilation-as-a-service: synthetic fleet replay (lib/serve)";
-  if quick then say "(--quick: reduced fleet)";
-  say "";
-  let rng = Rng.create 0x5e12e in
-  let fleet = build_fleet ~variants:(if quick then 2 else 4) rng in
-  let universe = fleet.fl_universe in
-  let nuniv = Array.length universe in
-  let perm = fleet.fl_perm in
-  let libsets = fleet.fl_libsets in
-  let sample_module () = sample_fleet fleet rng in
-  let server = Llvm_serve.Server.create () in
-  let sessions = if quick then 600 else 3000 in
-  let latencies = ref [] in
-  let failures = ref 0 in
-  let record t0 n =
-    let dt = (Unix.gettimeofday () -. t0) /. float_of_int (max 1 n) in
-    for _ = 1 to n do
-      latencies := dt :: !latencies
-    done
-  in
-  let check_resp (r : Llvm_serve.Protocol.response) =
-    match r with
-    | Llvm_serve.Protocol.Served _ -> ()
-    | Llvm_serve.Protocol.Rejected why ->
-      Fmt.epr "unexpected validation reject: %s@." why;
-      incr failures
-    | Llvm_serve.Protocol.Failed e ->
-      Fmt.epr "request failed: %s@." e;
-      incr failures
-    | Llvm_serve.Protocol.Timed_out why ->
-      Fmt.epr "request timed out: %s@." why;
-      incr failures
-    | Llvm_serve.Protocol.Busy _ ->
-      Fmt.epr "request shed by in-process server (unexpected)@.";
-      incr failures
-  in
-  (* differential gate: served bytes must match a direct pipeline run *)
-  let diff_checked = ref 0 and diff_mismatches = ref 0 in
-  let differential payload level (resp : Llvm_serve.Protocol.response) =
-    match resp with
-    | Llvm_serve.Protocol.Served { payload = got; _ } ->
-      incr diff_checked;
-      let m =
-        match Llvm_serve.Loader.of_bytes ~name:"diff" payload with
-        | Ok m -> m
-        | Error e -> Fmt.failwith "diff load: %s" e
-      in
-      Llvm_transforms.Pipelines.optimize_module ~level m;
-      let direct = fst (Llvm_bitcode.Encoder.encode m) in
-      if not (String.equal direct got) then begin
-        incr diff_mismatches;
-        Fmt.epr "DIFFERENTIAL MISMATCH: served bytes differ from direct -O%d run@."
-          level
-      end
-    | _ -> ()
-  in
-  let handle body =
-    let t0 = Unix.gettimeofday () in
-    let resp = Llvm_serve.Server.handle server (Llvm_serve.Protocol.req body) in
-    record t0 1;
-    check_resp resp;
-    resp
-  in
-  let compile_count = ref 0 in
-  let t_start = Unix.gettimeofday () in
-  for session = 1 to sessions do
-    let nreq = 2 + Rng.int rng 4 in
-    for _ = 1 to nreq do
-      let name, payload, is_eh = sample_module () in
-      ignore name;
-      let dice = Rng.int rng 100 in
-      if dice < 70 then begin
-        let level = if Rng.chance rng 20 then 3 else 2 in
-        incr compile_count;
-        let resp =
-          handle
-            (Llvm_serve.Protocol.Compile
-               { c_payload = payload;
-                 c_pipeline = Llvm_serve.Protocol.Level level;
-                 c_validate = false })
-        in
-        if !compile_count mod 53 = 0 then differential payload level resp
-      end
-      else if dice < 85 then
-        ignore (handle (Llvm_serve.Protocol.Lint payload))
-      else if is_eh then
-        ignore
-          (handle
-             (Llvm_serve.Protocol.Run
-                { r_payload = payload;
-                  r_pipeline = Llvm_serve.Protocol.Level 2;
-                  r_fuel = 10_000_000;
-                  r_engine = Llvm_exec.Engine.Tiered }))
-      else begin
-        incr compile_count;
-        ignore
-          (handle
-             (Llvm_serve.Protocol.Compile
-                { c_payload = payload;
-                  c_pipeline = Llvm_serve.Protocol.Level 2;
-                  c_validate = false }))
-      end
-    done;
-    (* every 8th session: a queued batch of link requests sharing one
-       library set — the daemon path that runs IPO once per group *)
-    if session mod 8 = 0 then begin
-      let libs = [ Rng.pick rng libsets ] in
-      let members = 4 in
-      let reqs =
-        List.init members (fun _ ->
-            let _, payload, _ = sample_module () in
-            Llvm_serve.Protocol.req
-              (Llvm_serve.Protocol.Link
-                 { l_apps = [ payload ]; l_libs = libs; l_validate = false }))
-      in
-      let t0 = Unix.gettimeofday () in
-      let resps = Llvm_serve.Server.handle_batch server reqs in
-      record t0 members;
-      List.iter check_resp resps
-    end
-  done;
-  let elapsed = Unix.gettimeofday () -. t_start in
-  (* validation phase: a few witnessed requests must all pass, and the
-     fuzzer's deliberately wrong pass must be rejected on its request *)
-  let validated = ref 0 and validation_ok = ref true in
-  List.iter
-    (fun (_, payload, _) ->
-      incr validated;
-      match
-        Llvm_serve.Server.handle server
-          (Llvm_serve.Protocol.req
-             (Llvm_serve.Protocol.Compile
-                { c_payload = payload;
-                  c_pipeline = Llvm_serve.Protocol.Level 3;
-                  c_validate = true }))
-      with
-      | Llvm_serve.Protocol.Served _ -> ()
-      | _ -> validation_ok := false)
-    (List.filteri (fun i _ -> i < 5) (Array.to_list universe));
-  let injected_rejected =
-    (* make sure the deliberately-wrong pass is registered *)
-    let _ = Llvm_fuzz.Oracle.injected_bug_pass in
-    let _, payload, _ = universe.(perm.(0)) in
-    match
-      Llvm_serve.Server.handle server
-        (Llvm_serve.Protocol.req
-           (Llvm_serve.Protocol.Compile
-              { c_payload = payload;
-                c_pipeline = Llvm_serve.Protocol.Passes [ "inject-sub-swap" ];
-                c_validate = true }))
-    with
-    | Llvm_serve.Protocol.Rejected _ -> true
-    | _ -> false
-  in
-  let lats = Array.of_list !latencies in
-  Array.sort compare lats;
-  let requests = Llvm_serve.Server.requests server in
-  let throughput = float_of_int requests /. Float.max 1e-9 elapsed in
-  let p50 = percentile lats 0.50 *. 1000.0 in
-  let p99 = percentile lats 0.99 *. 1000.0 in
-  let hit_rate = Llvm_serve.Server.hit_rate server in
-  let cache = Llvm_serve.Server.cache server in
-  say "universe: %d modules (%d genprog variants + %d eh), %d sessions" nuniv
-    fleet.fl_genprog fleet.fl_eh sessions;
-  say "%d requests in %.2fs: %.0f req/s, p50 %.3fms, p99 %.3fms" requests
-    elapsed throughput p50 p99;
-  say "cache: %.1f%% hit rate (%d hits, %d misses), %d entries, %d evictions"
-    (100.0 *. hit_rate)
-    (Llvm_serve.Cache.hits cache)
-    (Llvm_serve.Cache.misses cache)
-    (Llvm_serve.Cache.entries cache)
-    (Llvm_serve.Cache.evictions cache);
-  say "link batching: %d groups shared one IPO pipeline run"
-    (Llvm_serve.Server.batched_link_groups server);
-  say "differential: %d served results checked against direct runs, %d mismatches"
-    !diff_checked !diff_mismatches;
-  say "validation: %d witnessed requests ok=%b; inject-sub-swap rejected=%b"
-    !validated !validation_ok injected_rejected;
-  let clean =
-    !failures = 0 && !diff_mismatches = 0 && !diff_checked > 0
-    && hit_rate >= 0.5 && !validation_ok && injected_rejected
-  in
-  let oc = open_out "BENCH_serve.json" in
-  let j fmt = Printf.fprintf oc fmt in
-  j "{\n";
-  j "  \"sessions\": %d,\n" sessions;
-  j "  \"universe\": %d,\n" nuniv;
-  j "  \"requests\": %d,\n" requests;
-  j "  \"elapsed_s\": %.3f,\n" elapsed;
-  j "  \"throughput_rps\": %.1f,\n" throughput;
-  j "  \"p50_ms\": %.4f,\n" p50;
-  j "  \"p99_ms\": %.4f,\n" p99;
-  j "  \"hit_rate\": %.4f,\n" hit_rate;
-  j "  \"hits\": %d,\n" (Llvm_serve.Cache.hits cache);
-  j "  \"misses\": %d,\n" (Llvm_serve.Cache.misses cache);
-  j "  \"evictions\": %d,\n" (Llvm_serve.Cache.evictions cache);
-  j "  \"entries\": %d,\n" (Llvm_serve.Cache.entries cache);
-  j "  \"batched_link_groups\": %d,\n"
-    (Llvm_serve.Server.batched_link_groups server);
-  j "  \"differential_checked\": %d,\n" !diff_checked;
-  j "  \"differential_mismatches\": %d,\n" !diff_mismatches;
-  j "  \"validated_requests\": %d,\n" !validated;
-  j "  \"injected_miscompile_rejected\": %b,\n" injected_rejected;
-  j "  \"failures\": %d,\n" !failures;
-  j "  \"quick\": %b,\n" quick;
-  j "  \"clean\": %b\n" clean;
-  j "}\n";
-  close_out oc;
-  say "wrote BENCH_serve.json";
-  say "";
-  if not clean then exit 1
-
 (* -- Chaos: the fleet replay under injected faults ---------------------------- *)
 
 (* Replays the zipf fleet against a REAL forked llvmd (workers, request
@@ -1174,13 +838,21 @@ let chaos_bench ?(quick = false) () =
   let module D = Llvm_serve.Daemon in
   let module F = Llvm_serve.Faults in
   say "Chaos: fleet replay under injected faults (lib/serve + llvmd)";
-  if quick then say "(--quick: reduced fleet)";
+  if quick then say "(--quick: fewer requests)";
   say "";
   (* stall/torn writes may hit a daemon that already gave up on us *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let rng = Rng.create 0xc4a05 in
-  let fleet = build_fleet ~variants:(if quick then 2 else 3) rng in
-  let sample_module () = sample_fleet fleet rng in
+  (* the serve-hot fleet of perfbench: its universe, zipf popularity
+     and library sets, delivered as bitcode *)
+  let universe = Perfbench.Traffic.hot_universe () in
+  let zipf =
+    Perfbench.Traffic.zipf ~s:1.1 ~n:(Array.length universe) rng
+  in
+  let libsets = Perfbench.Traffic.libsets () in
+  let sample_module () =
+    universe.(Perfbench.Traffic.sample zipf rng)
+  in
   (* never-cached probe payloads: recovery is only proven by a compile
      that must reach a (respawned) worker *)
   let spares =
@@ -1282,7 +954,7 @@ let chaos_bench ?(quick = false) () =
       let body =
         P.encode_request
           (P.req
-             (P.Lint (let _, payload, _ = sample_module () in payload)))
+             (P.Lint (sample_module ()).Perfbench.Traffic.bc))
       in
       (match D.connect ~socket with
       | exception Unix.Unix_error _ -> ()
@@ -1296,8 +968,7 @@ let chaos_bench ?(quick = false) () =
         D.close fd)
     end
     else begin
-      let name, payload, is_eh = sample_module () in
-      ignore name;
+      let { Perfbench.Traffic.bc = payload; is_eh; _ } = sample_module () in
       let dice = Rng.int rng 100 in
       let body =
         if dice < 70 then begin
@@ -1360,12 +1031,12 @@ let chaos_bench ?(quick = false) () =
     (* pipelined link pair sharing a library set: exercises batch drain
        + worker affinity under faults *)
     if i mod 75 = 0 then begin
-      let libs = [ Rng.pick rng fleet.fl_libsets ] in
+      let libs = [ libsets.(Rng.int rng (Array.length libsets)) ] in
       match D.connect ~socket with
       | exception Unix.Unix_error _ -> incr transport
       | fd ->
         let send_link () =
-          let _, payload, _ = sample_module () in
+          let payload = (sample_module ()).Perfbench.Traffic.bc in
           D.send fd
             (P.req ~deadline_ms:2000
                (P.Link { l_apps = [ payload ]; l_libs = libs;
@@ -1431,9 +1102,8 @@ let chaos_bench ?(quick = false) () =
     float_of_int faulted /. float_of_int (max 1 (answered + !client_faults))
   in
   let lats = Array.of_list !latencies in
-  Array.sort compare lats;
-  let p50 = percentile lats 0.50 *. 1000.0 in
-  let p99 = percentile lats 0.99 *. 1000.0 in
+  let p50 = Perfbench.Stats.percentile lats 0.50 *. 1000.0 in
+  let p99 = Perfbench.Stats.percentile lats 0.99 *. 1000.0 in
   let recov = Array.of_list !recovery_ms in
   Array.sort compare recov;
   let mean_recovery =
@@ -1854,7 +1524,6 @@ let () =
   | _ :: "lint" :: _ -> lint ()
   | _ :: "exec" :: rest -> exec_bench ~quick:(List.mem "--quick" rest) ()
   | _ :: "fuzz" :: rest -> fuzz_bench ~quick:(List.mem "--quick" rest) ()
-  | _ :: "serve" :: rest -> serve_bench ~quick:(List.mem "--quick" rest) ()
   | _ :: "chaos" :: rest -> chaos_bench ~quick:(List.mem "--quick" rest) ()
   | _ :: "pgo" :: rest -> pgo_bench ~quick:(List.mem "--quick" rest) ()
   | _ :: "validate" :: rest -> validate_bench ~quick:(List.mem "--quick" rest) ()
@@ -1871,6 +1540,5 @@ let () =
     pgo_bench ();
     validate_bench ();
     fuzz_bench ~quick:true ();
-    serve_bench ~quick:true ();
     chaos_bench ~quick:true ();
     lifelong ()

@@ -72,15 +72,11 @@ let run input fuel profile emit_profile use_profile engine =
           (String.concat ", " (List.map fst ps))
     end;
     (match r.Interp.status with
-    | `Returned (Interp.Rint (_, v)) -> exit (Int64.to_int v land 0xFF)
-    | `Returned _ -> exit 0
-    | `Exited c -> exit c
     | `Unwound ->
-      prerr_endline "uncaught exception: program unwound out of main";
-      exit 120
-    | `Trapped msg ->
-      prerr_endline ("trap: " ^ msg);
-      exit 121)
+      prerr_endline "uncaught exception: program unwound out of main"
+    | `Trapped msg -> prerr_endline ("trap: " ^ msg)
+    | `Returned _ | `Exited _ -> ());
+    exit (Interp.exit_code r)
 
 let input = Arg.(required & pos 0 (some file) None & info [] ~docv:"INPUT")
 let fuel =

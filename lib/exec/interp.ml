@@ -711,3 +711,12 @@ let show_status (r : run_result) : string =
   | `Unwound -> "unwound"
   | `Exited c -> Fmt.str "exited %d" c
   | `Trapped msg -> "trapped: " ^ msg
+
+(* The one process exit code of a run, shared by lli and llvmd's Run. *)
+let exit_code (r : run_result) : int =
+  match r.status with
+  | `Returned (Rint (_, v)) -> Int64.to_int v land 0xff
+  | `Returned _ -> 0
+  | `Exited c -> c land 0xff
+  | `Unwound -> 120
+  | `Trapped _ -> 121

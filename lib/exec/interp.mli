@@ -124,3 +124,9 @@ val pp_rtval : Format.formatter -> rtval -> unit
     ["trapped: <why>"]: the one printed form of a run's status, used
     wherever runs are compared. *)
 val show_status : run_result -> string
+
+(** The process exit code of a run: the low byte of [main]'s integer
+    return value (0 for any other return), the low byte of [exit]'s
+    argument, 120 when an exception unwound out of [main], 121 on a
+    trap. *)
+val exit_code : run_result -> int

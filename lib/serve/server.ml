@@ -1,9 +1,9 @@
 (* Compilation-as-a-service: the in-process request handler.
 
    The daemon (Daemon) is a thin socket loop over this module, and
-   tests/bench call [handle] directly — the pure-pipeline core stays in
-   lib/transforms; this driver owns caching, batching and scheduling
-   (the Juvix Compiler/Pipeline split named in the roadmap).
+   tests call [handle] directly — the pure-pipeline core stays in
+   lib/transforms; this driver owns caching and scheduling (the Juvix
+   Compiler/Pipeline split named in the roadmap).
 
    Content addressing: a request payload (textual IR or bitcode) is
    parsed once and re-encoded to the canonical bitcode form; the MD5 of
@@ -12,14 +12,17 @@
    pass-result cache maps (module digest × pipeline spec) to optimized
    bitcode across N LRU shards (Cache).
 
-   Link batching: a Link request names application modules plus a
+   One request path: compile, lint and link each derive their cache
+   key in one function that loads and verifies the payloads.  [handle]
+   looks the key up, computes on a miss and installs the result;
+   [probe] (the daemon's front cache) only looks it up.
+
+   Link-time IPO: a Link request names application modules plus a
    shared library set.  The expensive link-time IPO pipeline runs once
    per distinct library set (cached under the library-set digest);
    each request then links its apps against the pre-optimized library
-   and pays only the per-module pipeline.  [handle_batch] pre-warms
-   the library cache once per group of queued requests sharing a
-   library set, which is what the daemon calls when several frames are
-   waiting on the socket.
+   and pays only the per-module pipeline.  Queued links sharing a set,
+   answered in order, therefore run IPO once.
 
    Validation: with [--validate] (or per-request), the server replays
    the translation-validation witness before releasing a result: the
@@ -65,8 +68,6 @@ type t = {
   cache : Cache.t;
   ctr : counters;
   mutable validation_rejects : int;
-  mutable batched_link_groups : int;
-  mutable batched_link_members : int;
   lat : int array;
   mutable lat_count : int;
   mutable lat_max_us : int;
@@ -80,17 +81,13 @@ let create ?(config = default_config) () : t =
       { c_compile = 0; c_link = 0; c_run = 0; c_lint = 0; c_stats = 0;
         c_ping = 0; c_failed = 0; c_rejected = 0; c_timed_out = 0 };
     validation_rejects = 0;
-    batched_link_groups = 0;
-    batched_link_members = 0;
     lat = Array.make lat_buckets 0;
     lat_count = 0;
     lat_max_us = 0;
     started = Unix.gettimeofday () }
 
 let cache (t : t) : Cache.t = t.cache
-let hit_rate (t : t) : float = Cache.hit_rate t.cache
 let validation_rejects (t : t) : int = t.validation_rejects
-let batched_link_groups (t : t) : int = t.batched_link_groups
 
 let requests (t : t) : int =
   t.ctr.c_compile + t.ctr.c_link + t.ctr.c_run + t.ctr.c_lint + t.ctr.c_stats
@@ -199,69 +196,37 @@ let check_witness (t : t) ~(reference : Ir.modul) ~(optimized : Ir.modul) :
            (String.length o0) (String.length o1))
     else Ok ()
 
-(* -- Compile ------------------------------------------------------------------- *)
+(* -- Request keys --------------------------------------------------------------- *)
 
-let ms (t0 : float) : float = (Unix.gettimeofday () -. t0) *. 1000.0
+(* A cacheable request after loading: the modules a miss computes
+   from, the key its result lives under, and the affinity route the
+   daemon picks a worker by.  Each request kind derives it in exactly
+   one function below; [handle] and [probe] both call it, so the front
+   cache and the workers agree on every key. *)
+type 'a keyed = { input : 'a; key : string; route : string }
 
-let served (t : t) ~hit ~key ~pipeline_ms (payload : string) :
-    Protocol.response =
-  Protocol.Served
-    { payload;
-      metrics =
-        { m_hit = hit; m_shard = Cache.shard_of t.cache key;
-          m_pipeline_ms = pipeline_ms; m_bytes = String.length payload } }
+(* [--validate] forces the witness on every request. *)
+let validating (t : t) (flag : bool) : bool = flag || t.cfg.validate
 
-(* Cache key for a compile request; validated results live under their
-   own keys so a validating request can only ever hit an entry that
-   passed the witness. *)
-let compile_key ~(validate : bool) (digest : string)
-    (spec : Protocol.pipeline) : string =
-  digest ^ "|" ^ Protocol.pipeline_to_string spec
-  ^ if validate then "|v" else ""
+(* Validated results live under their own keys, so a validating
+   request can only ever hit an entry that passed the witness. *)
+let validated_key ~(validate : bool) (key : string) : string =
+  if validate then key ^ "|v" else key
 
-(* The compile core, shared with Run: returns the optimized bitcode for
-   (payload, spec), going through the cache. *)
-let compile_bytes (t : t) ~(deadline : float option) ~(validate : bool)
-    (payload : string) (spec : Protocol.pipeline) : Protocol.response =
-  let validate = validate || t.cfg.validate in
-  match load_payload ~what:"compile request" payload with
-  | Error e -> Protocol.Failed e
-  | Ok (m, digest) -> (
-    let key = compile_key ~validate digest spec in
-    match Cache.find t.cache key with
-    | Some bytes -> served t ~hit:true ~key ~pipeline_ms:0.0 bytes
-    | None -> (
-      let t0 = Unix.gettimeofday () in
-      match run_pipeline ~deadline spec m with
-      | Error e -> Protocol.Failed e
-      | Ok () -> (
-        match first_verify_error m with
-        | Some e ->
-          Protocol.Failed
-            (Fmt.str "pipeline produced an invalid module (pass bug): %s" e)
-        | None ->
-          let pipeline_ms = ms t0 in
-          check_deadline deadline;
-          let witness =
-            if not validate then Ok ()
-            else
-              match Loader.of_bytes ~name:"reference" payload with
-              | Error e -> Error e (* unreachable: parsed once already *)
-              | Ok reference -> check_witness t ~reference ~optimized:m
-          in
-          (match witness with
-          | Error why ->
-            t.validation_rejects <- t.validation_rejects + 1;
-            Protocol.Rejected
-              (Fmt.str "translation validation failed for %s: %s"
-                 (Protocol.pipeline_to_string spec)
-                 why)
-          | Ok () ->
-            let bytes = fst (Llvm_bitcode.Encoder.encode m) in
-            Cache.put t.cache key bytes;
-            served t ~hit:false ~key ~pipeline_ms bytes))))
+let compile_key ~(validate : bool) (payload : string)
+    (spec : Protocol.pipeline) : (Ir.modul keyed, string) result =
+  Result.map
+    (fun (m, digest) ->
+      { input = m; route = digest;
+        key =
+          validated_key ~validate
+            (digest ^ "|" ^ Protocol.pipeline_to_string spec) })
+    (load_payload ~what:"compile request" payload)
 
-(* -- Link ---------------------------------------------------------------------- *)
+let lint_key (payload : string) : (Ir.modul keyed, string) result =
+  Result.map
+    (fun (m, digest) -> { input = m; route = digest; key = digest ^ "|lint" })
+    (load_payload ~what:"lint request" payload)
 
 (* Load a list of payloads; the digest of the set is the digest of the
    concatenated member digests (order-sensitive: link order matters). *)
@@ -279,24 +244,142 @@ let load_set ~(what : string) (payloads : string list) :
   in
   go [] [] payloads
 
+type link_input = {
+  apps : Ir.modul list;
+  libs : Ir.modul list;
+  libs_digest : string;
+}
+
+(* Every payload is loaded once here: the library digest is folded
+   into the key and routes the request (IPO-once affinity), and the
+   modules feed the pipelines on a miss. *)
+let link_key ~(validate : bool) (l : Protocol.link_req) :
+    (link_input keyed, string) result =
+  if l.Protocol.l_apps = [] then Error "link request with no modules"
+  else
+    match load_set ~what:"link apps" l.Protocol.l_apps with
+    | Error e -> Error e
+    | Ok (apps, apps_digest) ->
+      Result.map
+        (fun (libs, libs_digest) ->
+          let tag = if l.Protocol.l_libs = [] then "nolibs" else "libs" in
+          { input = { apps; libs; libs_digest }; route = libs_digest;
+            key =
+              validated_key ~validate
+                (Llvm_bitcode.Digest.of_bytes (apps_digest ^ "|" ^ libs_digest)
+                ^ "|" ^ tag ^ "|link") })
+        (load_set ~what:"link libs" l.Protocol.l_libs)
+
+(* -- The request path ----------------------------------------------------------- *)
+
+let ms (t0 : float) : float = (Unix.gettimeofday () -. t0) *. 1000.0
+
+let served (t : t) ~hit ~key ~pipeline_ms (payload : string) :
+    Protocol.response =
+  Protocol.Served
+    { payload;
+      metrics =
+        { m_hit = hit; m_shard = Cache.shard_of t.cache key;
+          m_pipeline_ms = pipeline_ms; m_bytes = String.length payload } }
+
+let lookup (t : t) (key : string) : Protocol.response option =
+  Option.map (served t ~hit:true ~key ~pipeline_ms:0.0) (Cache.find t.cache key)
+
+(* Only [Served] payloads are cached: a rejection never is. *)
+let install (t : t) ~(key : string) (resp : Protocol.response) : unit =
+  match resp with
+  | Protocol.Served { payload; _ } -> Cache.put t.cache key payload
+  | _ -> ()
+
+(* Look the key up; on a miss, [compute] returns the result bytes and
+   its pipeline time (or the error response to send), and the result
+   is installed under the key. *)
+let answer (t : t) (keyed : ('a keyed, string) result)
+    (compute : 'a -> (string * float, Protocol.response) result) :
+    Protocol.response =
+  match keyed with
+  | Error e -> Protocol.Failed e
+  | Ok { input; key; _ } -> (
+    match lookup t key with
+    | Some hit -> hit
+    | None -> (
+      match compute input with
+      | Error resp -> resp
+      | Ok (bytes, pipeline_ms) ->
+        let resp = served t ~hit:false ~key ~pipeline_ms bytes in
+        install t ~key resp;
+        resp))
+
+(* The tail of a compile or link miss once [what]'s pipeline has run
+   over [optimized]: verify it, replay the witness against a freshly
+   loaded [reference] when validating, and encode. *)
+let finish (t : t) ~(deadline : float option) ~(t0 : float) ~(validate : bool)
+    ~(what : string) ~(reference : unit -> (Ir.modul, string) result)
+    (optimized : Ir.modul) : (string * float, Protocol.response) result =
+  match first_verify_error optimized with
+  | Some e ->
+    Error
+      (Protocol.Failed
+         (Fmt.str "%s pipeline produced an invalid module (pass bug): %s" what
+            e))
+  | None -> (
+    let pipeline_ms = ms t0 in
+    check_deadline deadline;
+    let witness =
+      if not validate then Ok ()
+      else
+        Result.bind (reference ()) (fun reference ->
+            check_witness t ~reference ~optimized)
+    in
+    match witness with
+    | Error why ->
+      t.validation_rejects <- t.validation_rejects + 1;
+      Error
+        (Protocol.Rejected
+           (Fmt.str "translation validation failed for %s: %s" what why))
+    | Ok () -> Ok (fst (Llvm_bitcode.Encoder.encode optimized), pipeline_ms))
+
+(* -- Compile ------------------------------------------------------------------- *)
+
+(* The compile core, shared with Run: returns the optimized bitcode for
+   (payload, spec), going through the cache. *)
+let compile_bytes (t : t) ~(deadline : float option) ~(validate : bool)
+    (payload : string) (spec : Protocol.pipeline) : Protocol.response =
+  let validate = validating t validate in
+  answer t (compile_key ~validate payload spec) (fun m ->
+      let t0 = Unix.gettimeofday () in
+      match run_pipeline ~deadline spec m with
+      | Error e -> Error (Protocol.Failed e)
+      | Ok () ->
+        finish t ~deadline ~t0 ~validate
+          ~what:(Protocol.pipeline_to_string spec)
+          ~reference:(fun () -> Loader.of_bytes ~name:"reference" payload)
+          m)
+
+(* -- Link ---------------------------------------------------------------------- *)
+
+let link_modules ~(name : string) (mods : Ir.modul list) :
+    (Ir.modul, string) result =
+  match Llvm_linker.Link.link ~name mods with
+  | exception Llvm_linker.Link.Link_error e -> Error ("link error: " ^ e)
+  | m -> Ok m
+
 (* One link-time IPO pipeline run per distinct library set, cached
-   under the set digest.  [mods] are the freshly loaded library modules
-   (consumed: the pipeline mutates in place); the caller loads them
-   once and threads them here along with the digest, so a cache miss
-   never re-parses the payloads. *)
+   under the set digest: answering queued links that share a set in
+   order runs IPO once.  [mods] are the library modules [link_key]
+   loaded (consumed: the pipeline mutates in place), so a miss never
+   re-parses the payloads. *)
 let optimized_libs (t : t) ?deadline (mods : Ir.modul list)
     (libs_digest : string) : (Ir.modul, string) result =
   let key = libs_digest ^ "|libs-ipo" in
   let rebuild () =
-    match Llvm_linker.Link.link ~name:"libs" mods with
-    | exception Llvm_linker.Link.Link_error e -> Error ("link error: " ^ e)
-    | libm -> (
-      run_passes ~deadline Llvm_transforms.Pipelines.link_time_ipo libm;
-      match first_verify_error libm with
-      | Some e -> Error ("library IPO produced an invalid module: " ^ e)
-      | None ->
-        Cache.put t.cache key (fst (Llvm_bitcode.Encoder.encode libm));
-        Ok libm)
+    Result.bind (link_modules ~name:"libs" mods) (fun libm ->
+        run_passes ~deadline Llvm_transforms.Pipelines.link_time_ipo libm;
+        match first_verify_error libm with
+        | Some e -> Error ("library IPO produced an invalid module: " ^ e)
+        | None ->
+          Cache.put t.cache key (fst (Llvm_bitcode.Encoder.encode libm));
+          Ok libm)
   in
   match Cache.find t.cache key with
   | Some bytes -> (
@@ -309,85 +392,33 @@ let optimized_libs (t : t) ?deadline (mods : Ir.modul list)
       rebuild ())
   | None -> rebuild ()
 
-let link_key (apps_digest : string) (libs : string list) : string =
-  let tag = if libs = [] then "nolibs" else "libs" in
-  apps_digest ^ "|" ^ tag ^ "|link"
-
 let handle_link (t : t) ~(deadline : float option) (l : Protocol.link_req) :
     Protocol.response =
-  if l.Protocol.l_apps = [] then Protocol.Failed "link request with no modules"
-  else
-    let validate = l.Protocol.l_validate || t.cfg.validate in
-    match load_set ~what:"link apps" l.Protocol.l_apps with
-    | Error e -> Protocol.Failed e
-    | Ok (apps, apps_digest) -> (
-      (* libs are loaded once here: the digest is folded into the final
-         key, and the modules feed the IPO pipeline on a miss *)
-      match load_set ~what:"link libs" l.Protocol.l_libs with
-      | Error e -> Protocol.Failed e
-      | Ok (lib_mods, libs_digest) -> (
-        (* validated results live under their own keys, as in compile:
-           a validating request can only hit an entry that passed the
-           witness *)
-        let key =
-          link_key
-            (Llvm_bitcode.Digest.of_bytes (apps_digest ^ "|" ^ libs_digest))
-            l.Protocol.l_libs
-          ^ if validate then "|v" else ""
-        in
-        match Cache.find t.cache key with
-        | Some bytes -> served t ~hit:true ~key ~pipeline_ms:0.0 bytes
-        | None -> (
-          let t0 = Unix.gettimeofday () in
-          let libm =
-            if l.Protocol.l_libs = [] then Ok None
-            else
-              Result.map
-                (fun m -> Some m)
-                (optimized_libs t ?deadline lib_mods libs_digest)
-          in
-          match libm with
-          | Error e -> Protocol.Failed e
-          | Ok libm -> (
-            let parts = apps @ Option.to_list libm in
-            match Llvm_linker.Link.link ~name:"served" parts with
-            | exception Llvm_linker.Link.Link_error e ->
-              Protocol.Failed ("link error: " ^ e)
-            | final -> (
-              run_passes ~deadline Llvm_transforms.Pipelines.per_module final;
-              match first_verify_error final with
-              | Some e ->
-                Protocol.Failed
-                  ("link pipeline produced an invalid module: " ^ e)
-              | None ->
-                let pipeline_ms = ms t0 in
-                check_deadline deadline;
-                let witness =
-                  if not validate then Ok ()
-                  else
-                    (* reference: everything re-loaded fresh, linked, never
-                       optimized *)
-                    match
-                      load_set ~what:"link reference"
-                        (l.Protocol.l_apps @ l.Protocol.l_libs)
-                    with
-                    | Error e -> Error e
-                    | Ok (mods, _) -> (
-                      match Llvm_linker.Link.link ~name:"reference" mods with
-                      | exception Llvm_linker.Link.Link_error e ->
-                        Error ("link error: " ^ e)
-                      | reference ->
-                        check_witness t ~reference ~optimized:final)
-                in
-                (match witness with
-                | Error why ->
-                  t.validation_rejects <- t.validation_rejects + 1;
-                  Protocol.Rejected
-                    ("translation validation failed for link: " ^ why)
-                | Ok () ->
-                  let bytes = fst (Llvm_bitcode.Encoder.encode final) in
-                  Cache.put t.cache key bytes;
-                  served t ~hit:false ~key ~pipeline_ms bytes))))))
+  let validate = validating t l.Protocol.l_validate in
+  answer t (link_key ~validate l) (fun { apps; libs; libs_digest } ->
+      let t0 = Unix.gettimeofday () in
+      let libm =
+        if libs = [] then Ok []
+        else
+          Result.map
+            (fun m -> [ m ])
+            (optimized_libs t ?deadline libs libs_digest)
+      in
+      match
+        Result.bind libm (fun libm ->
+            link_modules ~name:"served" (apps @ libm))
+      with
+      | Error e -> Error (Protocol.Failed e)
+      | Ok final ->
+        run_passes ~deadline Llvm_transforms.Pipelines.per_module final;
+        finish t ~deadline ~t0 ~validate ~what:"link"
+          ~reference:(fun () ->
+            (* everything re-loaded fresh, linked, never optimized *)
+            Result.bind
+              (load_set ~what:"link reference"
+                 (l.Protocol.l_apps @ l.Protocol.l_libs))
+              (fun (mods, _) -> link_modules ~name:"reference" mods))
+          final)
 
 (* -- Run ------------------------------------------------------------------------ *)
 
@@ -409,18 +440,17 @@ let handle_run (t : t) ~(deadline : float option) (r : Protocol.run_req) :
       let result, _ =
         Engine.run_main ~fuel:r.Protocol.r_fuel r.Protocol.r_engine m
       in
-      let status, exit_code =
+      let status =
         match result.Interp.status with
-        | `Returned (Interp.Rint (_, v)) ->
-          ("returned", Int64.to_int v land 0xff)
-        | `Returned _ -> ("returned", 0)
-        | `Exited c -> ("exited", c land 0xff)
-        | `Unwound -> ("unwound", 120)
-        | `Trapped msg -> ("trapped: " ^ msg, 121)
+        | `Returned _ -> "returned"
+        | `Exited _ -> "exited"
+        | `Unwound -> "unwound"
+        | `Trapped msg -> "trapped: " ^ msg
       in
       let reply =
         Protocol.encode_run_reply
-          { Protocol.status; exit_code; output = result.Interp.output;
+          { Protocol.status; exit_code = Interp.exit_code result;
+            output = result.Interp.output;
             instructions = result.Interp.instructions }
       in
       Protocol.Served { payload = reply; metrics })
@@ -428,21 +458,13 @@ let handle_run (t : t) ~(deadline : float option) (r : Protocol.run_req) :
 (* -- Lint ----------------------------------------------------------------------- *)
 
 let handle_lint (t : t) (payload : string) : Protocol.response =
-  match load_payload ~what:"lint request" payload with
-  | Error e -> Protocol.Failed e
-  | Ok (m, digest) -> (
-    let key = digest ^ "|lint" in
-    match Cache.find t.cache key with
-    | Some text -> served t ~hit:true ~key ~pipeline_ms:0.0 text
-    | None ->
+  answer t (lint_key payload) (fun m ->
       let t0 = Unix.gettimeofday () in
       let diags = Llvm_analysis.Lint.run m in
       let text =
         String.concat "\n" (List.map Llvm_analysis.Lint.diag_to_json diags)
       in
-      let pipeline_ms = ms t0 in
-      Cache.put t.cache key text;
-      served t ~hit:false ~key ~pipeline_ms text)
+      Ok (text, ms t0))
 
 (* -- Stats ----------------------------------------------------------------------- *)
 
@@ -491,8 +513,6 @@ let stats_json ?(extra : (string * string) list = []) (t : t) : string =
     t.ctr.c_ping (requests t) t.ctr.c_failed t.ctr.c_rejected
     t.ctr.c_timed_out;
   j "  \"validation_rejects\": %d,\n" t.validation_rejects;
-  j "  \"batched_link_groups\": %d,\n" t.batched_link_groups;
-  j "  \"batched_link_members\": %d,\n" t.batched_link_members;
   j
     "  \"cache\": {\"hit_rate\": %.4f, \"hits\": %d, \"misses\": %d, \
      \"evictions\": %d, \"entries\": %d, \"bytes\": %d, \"corrupt\": %d,\n"
@@ -590,36 +610,6 @@ let handle (t : t) (req : Protocol.request) : Protocol.response =
   | Protocol.Served _ | Protocol.Busy _ -> ());
   resp
 
-(* Batched handling: group queued Link requests by library set and make
-   sure each group's library IPO runs exactly once before the members
-   are answered in order. *)
-let handle_batch (t : t) (reqs : Protocol.request list) :
-    Protocol.response list =
-  (* grouping keys on the raw library payloads — no parsing per queued
-     request; a group whose members deliver the same set in different
-     formats only misses the pre-warm, never the libs-ipo cache *)
-  let groups : (string list, int) Hashtbl.t = Hashtbl.create 4 in
-  List.iter
-    (fun req ->
-      match req.Protocol.body with
-      | Protocol.Link { l_libs = _ :: _ as libs; _ } ->
-        Hashtbl.replace groups libs
-          (1 + Option.value ~default:0 (Hashtbl.find_opt groups libs))
-      | _ -> ())
-    reqs;
-  Hashtbl.iter
-    (fun libs n ->
-      if n >= 2 then begin
-        t.batched_link_groups <- t.batched_link_groups + 1;
-        t.batched_link_members <- t.batched_link_members + n;
-        (* one IPO pipeline run fills the cache for the whole group *)
-        match load_set ~what:"link libs" libs with
-        | Error _ -> ()
-        | Ok (mods, digest) -> ignore (optimized_libs t mods digest)
-      end)
-    groups;
-  List.map (handle t) reqs
-
 (* -- Cache probing (worker supervision support) --------------------------------- *)
 
 (* With forked workers the daemon keeps a "front" server whose cache
@@ -635,46 +625,22 @@ type probe =
   | Uncached of { route : string option }
 
 let do_probe (t : t) (body : Protocol.body) : probe =
+  let look = function
+    | Error _ -> Uncached { route = None }
+    | Ok { key; route; _ } -> (
+      match lookup t key with
+      | Some hit -> Hit hit
+      | None -> Miss { key; route = Some route })
+  in
   match body with
-  | Protocol.Compile c -> (
-    match load_payload ~what:"compile request" c.Protocol.c_payload with
-    | Error _ -> Uncached { route = None }
-    | Ok (_, digest) -> (
-      let validate = c.Protocol.c_validate || t.cfg.validate in
-      let key = compile_key ~validate digest c.Protocol.c_pipeline in
-      match Cache.find t.cache key with
-      | Some bytes ->
-        Hit (served t ~hit:true ~key ~pipeline_ms:0.0 bytes)
-      | None -> Miss { key; route = Some digest }))
-  | Protocol.Lint payload -> (
-    match load_payload ~what:"lint request" payload with
-    | Error _ -> Uncached { route = None }
-    | Ok (_, digest) -> (
-      let key = digest ^ "|lint" in
-      match Cache.find t.cache key with
-      | Some text -> Hit (served t ~hit:true ~key ~pipeline_ms:0.0 text)
-      | None -> Miss { key; route = Some digest }))
-  | Protocol.Link l -> (
-    (* the full link key needs every payload parsed; routing by the raw
-       library set is enough for IPO-once affinity, and we only pay the
-       parse when the daemon is degraded or idle enough to care *)
-    match load_set ~what:"link apps" l.Protocol.l_apps with
-    | Error _ -> Uncached { route = None }
-    | Ok (_, apps_digest) -> (
-      match load_set ~what:"link libs" l.Protocol.l_libs with
-      | Error _ -> Uncached { route = None }
-      | Ok (_, libs_digest) -> (
-        let validate = l.Protocol.l_validate || t.cfg.validate in
-        let key =
-          link_key
-            (Llvm_bitcode.Digest.of_bytes (apps_digest ^ "|" ^ libs_digest))
-            l.Protocol.l_libs
-          ^ if validate then "|v" else ""
-        in
-        match Cache.find t.cache key with
-        | Some bytes ->
-          Hit (served t ~hit:true ~key ~pipeline_ms:0.0 bytes)
-        | None -> Miss { key; route = Some libs_digest })))
+  | Protocol.Compile c ->
+    look
+      (compile_key
+         ~validate:(validating t c.Protocol.c_validate)
+         c.Protocol.c_payload c.Protocol.c_pipeline)
+  | Protocol.Lint payload -> look (lint_key payload)
+  | Protocol.Link l ->
+    look (link_key ~validate:(validating t l.Protocol.l_validate) l)
   | Protocol.Run r ->
     (* execution is never served from the front cache: the optimized
        image may be cached, but running it must happen in a worker *)
@@ -687,10 +653,3 @@ let probe (t : t) (req : Protocol.request) : probe =
      escape (stack overflow on a pathological input, say) must degrade
      to "not cached", never take the accept loop down *)
   try do_probe t req.Protocol.body with _ -> Uncached { route = None }
-
-(* Install a worker's freshly computed result into the front cache so
-   other workers' clients can hit it. *)
-let install (t : t) ~(key : string) (resp : Protocol.response) : unit =
-  match resp with
-  | Protocol.Served { payload; _ } -> Cache.put t.cache key payload
-  | _ -> ()

@@ -1,8 +1,12 @@
 (** The compilation service: request handling, the sharded
-    content-addressed pass-result cache, batched link-time IPO, and
-    the translation-validation gate.  The daemon ({!Daemon}) is a
-    socket loop over [handle]/[handle_batch]; tests and bench call
-    them directly. *)
+    content-addressed pass-result cache, link-time IPO cached once per
+    library set, and the translation-validation gate.  The daemon
+    ({!Daemon}) is a socket loop over [handle]; tests call it directly.
+
+    Every cacheable request (compile, lint, link) takes one path: its
+    payloads are loaded and verified once, its cache key is derived,
+    the key is looked up, and on a miss the result is computed and
+    installed.  {!probe} derives the same key and only looks it up. *)
 
 type config = {
   shards : int;
@@ -20,10 +24,8 @@ type t
 val create : ?config:config -> unit -> t
 
 val cache : t -> Cache.t
-val hit_rate : t -> float
 val requests : t -> int
 val validation_rejects : t -> int
-val batched_link_groups : t -> int
 
 (** Requests answered [Timed_out] so far. *)
 val timed_out : t -> int
@@ -34,12 +36,6 @@ val timed_out : t -> int
     [Timed_out]; enforcement is cooperative (single passes run to
     completion), so the daemon backs it with a hard worker kill. *)
 val handle : t -> Protocol.request -> Protocol.response
-
-(** Handle a queue of requests in order, first pre-warming the
-    link-time IPO cache once per group of Link requests that share a
-    library set — the daemon calls this when several frames are queued
-    on the socket. *)
-val handle_batch : t -> Protocol.request list -> Protocol.response list
 
 (** {1 Cache probing}
 
@@ -53,9 +49,10 @@ type probe =
           service available in degraded (circuit-open) mode *)
   | Miss of { key : string; route : string option }
       (** not cached: dispatch to a worker, then {!install} its result
-          under [key].  [route] is an affinity hint — requests sharing
-          it should go to the same worker (link-time IPO per library
-          set, content-digest locality for compiles). *)
+          under [key], the key {!handle} stores it under.  [route] is
+          an affinity hint — requests sharing it should go to the same
+          worker (link-time IPO per library set, content-digest
+          locality for compiles). *)
   | Uncached of { route : string option }
       (** never served from the front cache (Run — execution happens in
           a worker — and control requests, or unparseable payloads) *)

@@ -423,8 +423,7 @@ int main() {
     [ "\"requests\""; "\"cache\""; "\"shards\""; "\"latency\""; "\"run\": 1" ];
   Alcotest.(check int) "request counter" 4 (Server.requests server)
 
-let test_server_batched_link () =
-  let server = Server.create () in
+let link_fixture () =
   let lib =
     encode
       (minic ~name:"lib"
@@ -442,30 +441,86 @@ int main() { return helper(%d); }
 |}
             i))
   in
-  let reqs =
-    List.init 3 (fun i ->
-        Protocol.req
-          (Protocol.Link
-             { l_apps = [ app i ]; l_libs = [ lib ]; l_validate = true }))
+  (lib, app)
+
+let test_server_batched_link () =
+  (* queued links sharing a library set, answered in order through the
+     plain request path: the set's IPO result is cached by the first
+     and reused by the others *)
+  let server = Server.create () in
+  let lib, app = link_fixture () in
+  let link i =
+    Protocol.req
+      (Protocol.Link
+         { l_apps = [ app i ]; l_libs = [ lib ]; l_validate = true })
   in
-  let resps = Server.handle_batch server reqs in
-  Alcotest.(check int) "three responses" 3 (List.length resps);
+  let resps = List.init 3 (fun i -> Server.handle server (link i)) in
   List.iteri
     (fun i r -> ignore (expect_served (Printf.sprintf "link %d" i) r))
     resps;
-  Alcotest.(check int) "one batched group" 1
-    (Server.batched_link_groups server);
+  let puts =
+    Array.fold_left
+      (fun n (s : Cache.shard_stats) -> n + s.Cache.s_puts)
+      0
+      (Cache.shard_stats (Server.cache server))
+  in
+  Alcotest.(check int) "three link results + one libs-ipo entry" 4 puts;
   (* batched result = the same request served alone on a fresh server *)
   let alone = Server.create () in
-  let solo, _ =
-    expect_served "solo link"
-      (Server.handle alone
-         (Protocol.req
-            (Protocol.Link
-               { l_apps = [ app 0 ]; l_libs = [ lib ]; l_validate = true })))
-  in
+  let solo, _ = expect_served "solo link" (Server.handle alone (link 0)) in
   let batched, _ = expect_served "batched link" (List.hd resps) in
   Alcotest.(check bool) "batched = solo bytes" true (String.equal solo batched)
+
+let test_server_probe_agrees () =
+  (* [probe] derives the same key as [handle]: a miss on a fresh
+     server, then a hit on exactly the bytes [handle] served *)
+  let lib, app = link_fixture () in
+  let m = sample_module () in
+  let as_bc = encode m and as_ll = Llvm_ir.Printer.module_to_string m in
+  let cases =
+    List.concat_map
+      (fun (fmt, payload) ->
+        List.map
+          (fun validate ->
+            ( Printf.sprintf "compile %s validate=%b" fmt validate,
+              compile_req ~validate payload ))
+          [ false; true ])
+      [ (".bc", as_bc); (".ll", as_ll) ]
+    @ [ ("lint", Protocol.req (Protocol.Lint as_bc));
+        ( "link",
+          Protocol.req
+            (Protocol.Link
+               { l_apps = [ app 1 ]; l_libs = [ lib ]; l_validate = false }) ) ]
+  in
+  List.iter
+    (fun (what, req) ->
+      let server = Server.create () in
+      (match Server.probe server req with
+      | Server.Miss _ -> ()
+      | _ -> Alcotest.failf "%s: fresh probe is not a miss" what);
+      let served, _ = expect_served what (Server.handle server req) in
+      match Server.probe server req with
+      | Server.Hit r ->
+        let hit, metrics = expect_served (what ^ " probe") r in
+        Alcotest.(check bool)
+          (what ^ ": probe hit") true metrics.Protocol.m_hit;
+        Alcotest.(check bool)
+          (what ^ ": probe serves handle's bytes")
+          true (String.equal served hit)
+      | _ -> Alcotest.failf "%s: probe misses after handle" what)
+    cases;
+  let server = Server.create () in
+  List.iter
+    (fun (what, body) ->
+      match Server.probe server (Protocol.req body) with
+      | Server.Uncached _ -> ()
+      | _ -> Alcotest.failf "%s is not Uncached" what)
+    [ ( "run",
+        Protocol.Run
+          { r_payload = as_bc; r_pipeline = Protocol.Level 2;
+            r_fuel = 1_000_000; r_engine = Llvm_exec.Engine.Tiered } );
+      ("stats", Protocol.Stats); ("ping", Protocol.Ping);
+      ("shutdown", Protocol.Shutdown) ]
 
 let test_server_link_validate_keys () =
   (* as for compile, validated link results live under their own keys:
@@ -883,6 +938,8 @@ let tests =
       test_server_run_and_lint;
     Alcotest.test_case "server: batched link shares IPO" `Quick
       test_server_batched_link;
+    Alcotest.test_case "server: probe and handle agree on keys" `Quick
+      test_server_probe_agrees;
     Alcotest.test_case "server: validated links key separately" `Quick
       test_server_link_validate_keys;
     Alcotest.test_case "framing: idle/stall/torn deadlines" `Quick
