@@ -9,9 +9,6 @@
      table2 --raw — ablation: the same passes on unpromoted (non-SSA) IR
      figure5   — Figure 5: executable sizes (LLVM bitcode / X86 / Sparc)
                  plus the compressibility observation of section 4.1.3
-     lifelong  — the Figure 4 pipeline: build, profile in the field,
-                 idle-time PGO reoptimize, rerun; exits 1 unless the
-                 rerun behaves identically with fewer instructions
      lint      — per-checker llvm-lint finding counts over the Table-1
                  workloads (analyzer precision tracked like a benchmark)
      ranges    — value-range analysis: bounds checks eliminated, fast
@@ -24,6 +21,7 @@
 
 open Llvm_ir
 open Llvm_workloads
+module Json = Llvm_json.Json
 
 let say fmt = Fmt.pr (fmt ^^ "@.")
 
@@ -31,6 +29,13 @@ let time_it (f : unit -> 'a) : 'a * float =
   let t0 = Unix.gettimeofday () in
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
+
+(* Every BENCH_*.json file: one object, members in the given order. *)
+let write_report (file : string) (fields : (string * Json.t) list) : unit =
+  Out_channel.with_open_text file (fun oc ->
+      output_string oc (Json.to_string (Json.Obj fields));
+      output_char oc '\n');
+  say "wrote %s" file
 
 (* Compile a benchmark the way the paper's pipeline does: front-end to
    IR, link (single translation unit here), internalize. *)
@@ -130,9 +135,7 @@ let table2 ?(promote = true) () =
         in
         let dge_stats, dge_s = run_pass Llvm_transforms.Dge.run in
         let dae_stats, dae_s = run_pass Llvm_transforms.Dae.run in
-        let inline_stats, inline_s =
-          run_pass (Llvm_transforms.Inline.run ?threshold:None)
-        in
+        let inline_stats, inline_s = run_pass Llvm_transforms.Inline.run in
         let baseline_s = baseline_compile_seconds p in
         { r_name = p.Genprog.p_name; dge_s; dae_s; inline_s; baseline_s;
           dge_funcs = dge_stats.Llvm_transforms.Dge.deleted_functions;
@@ -375,119 +378,25 @@ let exec_bench ?(quick = false) () =
     total_compile;
   if !mismatches > 0 then
     say "*** %d TIER MISMATCHES — the bytecode tier is wrong ***" !mismatches;
-  (* machine-readable record of the run *)
-  let oc = open_out "BENCH_exec.json" in
-  let j fmt = Printf.fprintf oc fmt in
-  j "{\n  \"benchmarks\": [\n";
-  List.iteri
-    (fun k r ->
-      j
-        "    {\"name\": %S, \"genprog\": %b, \"interp_s\": %.6f, \
-         \"bytecode_s\": %.6f, \"compile_s\": %.6f, \"speedup\": %.3f, \
-         \"instructions\": %d, \"reps\": %d}%s\n"
-        r.e_name r.genprog r.interp_s r.bytecode_s r.compile_s r.e_speedup
-        r.e_instrs r.reps
-        (if k = List.length rows - 1 then "" else ","))
-    rows;
-  j "  ],\n";
-  j "  \"geomean_speedup_genprog\": %.3f,\n" gm_genprog;
-  j "  \"geomean_speedup_all\": %.3f,\n" gm_all;
-  j "  \"compile_total_s\": %.6f,\n" total_compile;
-  j "  \"quick\": %b,\n" quick;
-  j "  \"tiers_agree\": %b\n" (!mismatches = 0);
-  j "}\n";
-  close_out oc;
-  say "wrote BENCH_exec.json";
+  let row r =
+    Json.(
+      Obj
+        [ ("name", String r.e_name); ("genprog", Bool r.genprog);
+          ("interp_s", fixed 6 r.interp_s);
+          ("bytecode_s", fixed 6 r.bytecode_s);
+          ("compile_s", fixed 6 r.compile_s);
+          ("speedup", fixed 3 r.e_speedup);
+          ("instructions", Int r.e_instrs); ("reps", Int r.reps) ])
+  in
+  write_report "BENCH_exec.json"
+    Json.
+      [ ("benchmarks", List (List.map row rows));
+        ("geomean_speedup_genprog", fixed 3 gm_genprog);
+        ("geomean_speedup_all", fixed 3 gm_all);
+        ("compile_total_s", fixed 6 total_compile); ("quick", Bool quick);
+        ("tiers_agree", Bool (!mismatches = 0)) ];
   say "";
   if !mismatches > 0 then exit 1
-
-(* -- Lifelong pipeline (Figure 4) ------------------------------------------- *)
-
-(* A program with a hot region the *static* inliner must refuse (the
-   callee is large and has several callers) but the profile-guided
-   idle-time reoptimizer can specialize once field data shows where the
-   time goes. *)
-let lifelong_app =
-  {|
-static int table_mix(int x, int rounds) {
-  int acc = x;
-  for (int r = 0; r < rounds; r++) {
-    acc = (acc * 1103515245 + 12345) & 1073741823;
-    acc = acc ^ (acc >> 7);
-    acc = acc + (acc << 3);
-    acc = acc & 16777215;
-    acc = acc - (acc >> 2);
-    acc = acc | (x & 255);
-    acc = acc ^ (acc >> 11);
-    acc = acc + x;
-    acc = acc & 1073741823;
-    acc = acc ^ (acc >> 5);
-    acc = acc + (acc << 1);
-    acc = acc & 536870911;
-    acc = acc - (x >> 1);
-    acc = acc ^ (acc >> 13);
-    acc = acc + (x * 3);
-    acc = acc & 1073741823;
-    acc = acc | (acc >> 9);
-    acc = acc ^ (x << 2);
-    acc = acc & 268435455;
-  }
-  return acc;
-}
-static int cold_path(int x) { return table_mix(x, 1); }
-int main() {
-  int total = 0;
-  for (int i = 0; i < 2000; i++) total ^= table_mix(i & 127, 2);
-  if ((total & 4095) == 777) total ^= cold_path(total);  // cold caller
-  return total & 63;
-}
-|}
-
-let lifelong () =
-  say "Lifelong compilation pipeline (Figure 4 / sections 3.5-3.6)";
-  say "";
-  let unit_ = Llvm_minic.Codegen.compile_string ~name:"hotapp" lifelong_app in
-  let exe = Llvm_linker.Lifelong.build [ unit_ ] in
-  say "built %s: bitcode %d bytes, native X86 %d bytes, Sparc %d bytes"
-    "hotapp"
-    (String.length exe.Llvm_linker.Lifelong.bitcode)
-    exe.Llvm_linker.Lifelong.native_x86_bytes
-    exe.Llvm_linker.Lifelong.native_sparc_bytes;
-  let field_run exe =
-    Llvm_linker.Fleet.field_run ~fuel:200_000_000 exe.Llvm_linker.Lifelong.program
-  in
-  let run1 = field_run exe in
-  let before = run1.result.Llvm_exec.Interp.instructions in
-  say "field run 1: %d instructions executed" before;
-  (match run1.promoted with
-  | [] -> say "tiered engine: nothing crossed the hot threshold"
-  | ps ->
-    say "tiered engine promoted to bytecode: %s"
-      (String.concat ", "
-         (List.map (fun (f, n) -> Fmt.str "%s (at %d entries)" f n) ps)));
-  say "hottest functions:";
-  List.iteri
-    (fun k (name, count) -> if k < 5 then say "  %-24s %8d entries" name count)
-    (Llvm_profile.Profile.hot_functions run1.profile exe.program);
-  let before_instrs = Ir.module_instr_count exe.program in
-  let exe, stats = Llvm_linker.Lifelong.reoptimize exe run1.profile in
-  say "idle-time reoptimizer: inlined %d hot call sites (%d -> %d instrs)"
-    stats.Llvm_transforms.Pgo.inlined before_instrs
-    (Ir.module_instr_count exe.program);
-  let run2 = field_run exe in
-  let after = run2.result.Llvm_exec.Interp.instructions in
-  say "field run 2: %d instructions executed (%.1f%% fewer)" after
-    (100. *. (1. -. (float_of_int after /. float_of_int before)));
-  say "";
-  if
-    Llvm_exec.Interp.show_status run1.result
-    <> Llvm_exec.Interp.show_status run2.result
-    || run1.result.output <> run2.result.output
-    || after >= before
-  then begin
-    Fmt.epr "LIFELONG GATE: run 2 must behave identically with fewer instructions@.";
-    exit 1
-  end
 
 (* -- SAFECode-style bounds checking (section 4.1.2) --------------------------- *)
 
@@ -636,29 +545,24 @@ let ranges_bench ?(quick = false) () =
   if !mismatches > 0 then
     say "*** %d MISMATCHES — range-driven elimination is unsound ***"
       !mismatches;
-  let oc = open_out "BENCH_ranges.json" in
-  let j fmt = Printf.fprintf oc fmt in
-  j "{\n  \"benchmarks\": [\n";
-  List.iteri
-    (fun k r ->
-      j
-        "    {\"name\": %S, \"inserted\": %d, \"eliminated\": %d, \
-         \"guarded_s\": %.6f, \"eliminated_s\": %.6f, \"guarded_instrs\": %d, \
-         \"eliminated_instrs\": %d, \"fast_ops\": %d}%s\n"
-        r.g_name r.inserted r.eliminated r.guarded_s r.elim_s r.guarded_instrs
-        r.elim_instrs r.g_fast_ops
-        (if k = List.length rows - 1 then "" else ","))
-    rows;
-  j "  ],\n";
-  j "  \"inserted_total\": %d,\n" tot_i;
-  j "  \"eliminated_total\": %d,\n" tot_e;
-  j "  \"eliminated_percent\": %.1f,\n" elim_pct;
-  j "  \"fast_ops_total\": %d,\n" tot_fast;
-  j "  \"quick\": %b,\n" quick;
-  j "  \"tiers_agree\": %b\n" (!mismatches = 0);
-  j "}\n";
-  close_out oc;
-  say "wrote BENCH_ranges.json";
+  let row r =
+    Json.(
+      Obj
+        [ ("name", String r.g_name); ("inserted", Int r.inserted);
+          ("eliminated", Int r.eliminated);
+          ("guarded_s", fixed 6 r.guarded_s);
+          ("eliminated_s", fixed 6 r.elim_s);
+          ("guarded_instrs", Int r.guarded_instrs);
+          ("eliminated_instrs", Int r.elim_instrs);
+          ("fast_ops", Int r.g_fast_ops) ])
+  in
+  write_report "BENCH_ranges.json"
+    Json.
+      [ ("benchmarks", List (List.map row rows));
+        ("inserted_total", Int tot_i); ("eliminated_total", Int tot_e);
+        ("eliminated_percent", fixed 1 elim_pct);
+        ("fast_ops_total", Int tot_fast); ("quick", Bool quick);
+        ("tiers_agree", Bool (!mismatches = 0)) ];
   say "";
   if !mismatches > 0 || tot_e = 0 then exit 1
 
@@ -1110,6 +1014,9 @@ let chaos_bench ?(quick = false) () =
     if Array.length recov = 0 then 0.0
     else Array.fold_left ( +. ) 0.0 recov /. float_of_int (Array.length recov)
   in
+  let recovery_max =
+    if Array.length recov = 0 then 0.0 else recov.(Array.length recov - 1)
+  in
   say "%d requests in %.2fs (%.0f req/s), %d client-side frame faults" answered
     elapsed
     (float_of_int answered /. Float.max 1e-9 elapsed)
@@ -1121,8 +1028,7 @@ let chaos_bench ?(quick = false) () =
   say "fault share: %.2f%% of traffic (gate: >= 1%%)" (100.0 *. fault_share);
   say "recovery: %d/%d crashes followed by a successful fresh compile \
        (mean %.1fms, max %.1fms)"
-    !recovered !crashes mean_recovery
-    (if Array.length recov = 0 then 0.0 else recov.(Array.length recov - 1));
+    !recovered !crashes mean_recovery recovery_max;
   say "liveness: %d/%d pings answered" (!pings - !ping_failures) !pings;
   say "differential: %d served compiles checked, %d mismatches" !diff_checked
     !diff_mismatches;
@@ -1133,38 +1039,28 @@ let chaos_bench ?(quick = false) () =
     && !ping_failures = 0 && graceful && fault_share >= 0.01
     && !diff_checked > 0
   in
-  let oc = open_out "BENCH_chaos.json" in
-  let j fmt = Printf.fprintf oc fmt in
-  j "{\n";
-  j "  \"requests\": %d,\n" answered;
-  j "  \"elapsed_s\": %.3f,\n" elapsed;
-  j "  \"client_frame_faults\": %d,\n" !client_faults;
-  j "  \"served\": %d,\n" !served;
-  j "  \"timed_out\": %d,\n" !timeouts;
-  j "  \"worker_crashes_observed\": %d,\n" !crashes;
-  j "  \"busy_after_retries\": %d,\n" !busy_final;
-  j "  \"failed_other\": %d,\n" !failed_other;
-  j "  \"transport_errors\": %d,\n" !transport;
-  j "  \"availability\": %.4f,\n" availability;
-  j "  \"fault_share\": %.4f,\n" fault_share;
-  j "  \"recovered\": %d,\n" !recovered;
-  j "  \"recovery_mean_ms\": %.2f,\n" mean_recovery;
-  j "  \"recovery_max_ms\": %.2f,\n"
-    (if Array.length recov = 0 then 0.0 else recov.(Array.length recov - 1));
-  j "  \"pings\": %d,\n" !pings;
-  j "  \"ping_failures\": %d,\n" !ping_failures;
-  j "  \"differential_checked\": %d,\n" !diff_checked;
-  j "  \"differential_mismatches\": %d,\n" !diff_mismatches;
-  j "  \"p50_ms\": %.3f,\n" p50;
-  j "  \"p99_ms\": %.3f,\n" p99;
-  j "  \"graceful_shutdown\": %b,\n" graceful;
-  j "  \"deadline_ms\": %d,\n" deadline_ms;
-  j "  \"quick\": %b,\n" quick;
-  j "  \"daemon_stats\": %s,\n" daemon_stats;
-  j "  \"clean\": %b\n" clean;
-  j "}\n";
-  close_out oc;
-  say "wrote BENCH_chaos.json";
+  write_report "BENCH_chaos.json"
+    Json.
+      [ ("requests", Int answered); ("elapsed_s", fixed 3 elapsed);
+        ("client_frame_faults", Int !client_faults);
+        ("served", Int !served); ("timed_out", Int !timeouts);
+        ("worker_crashes_observed", Int !crashes);
+        ("busy_after_retries", Int !busy_final);
+        ("failed_other", Int !failed_other);
+        ("transport_errors", Int !transport);
+        ("availability", fixed 4 availability);
+        ("fault_share", fixed 4 fault_share);
+        ("recovered", Int !recovered);
+        ("recovery_mean_ms", fixed 2 mean_recovery);
+        ("recovery_max_ms", fixed 2 recovery_max);
+        ("pings", Int !pings); ("ping_failures", Int !ping_failures);
+        ("differential_checked", Int !diff_checked);
+        ("differential_mismatches", Int !diff_mismatches);
+        ("p50_ms", fixed 3 p50); ("p99_ms", fixed 3 p99);
+        ("graceful_shutdown", Bool graceful);
+        ("deadline_ms", Int deadline_ms); ("quick", Bool quick);
+        (* the daemon's own stats payload, embedded verbatim *)
+        ("daemon_stats", Raw daemon_stats); ("clean", Bool clean) ];
   say "";
   if not clean then exit 1
 
@@ -1197,21 +1093,9 @@ let fuzz_bench ?(quick = false) () =
         fa.fa_oracle fa.fa_message
         (match fa.fa_repro with None -> "" | Some f -> " -> " ^ f))
     report.r_failures;
-  let oc = open_out "BENCH_fuzz.json" in
-  let j fmt = Printf.fprintf oc fmt in
-  j "{\n";
-  j "  \"seeds\": %d,\n" report.r_seeds;
-  j "  \"checks\": %d,\n" report.r_checks;
-  j "  \"passed\": %d,\n" report.r_passed;
-  j "  \"failed\": %d,\n" report.r_failed;
-  j "  \"skipped\": %d,\n" report.r_skipped;
-  j "  \"mutations\": %d,\n" report.r_mutations;
-  j "  \"elapsed_s\": %.2f,\n" elapsed;
-  j "  \"quick\": %b,\n" quick;
-  j "  \"clean\": %b\n" (report.r_failed = 0);
-  j "}\n";
-  close_out oc;
-  say "wrote BENCH_fuzz.json";
+  write_report "BENCH_fuzz.json"
+    (Llvm_fuzz.Fuzz.report_json ~elapsed report
+    @ Json.[ ("quick", Bool quick); ("clean", Bool (report.r_failed = 0)) ]);
   say "";
   if report.r_failed > 0 then exit 1
 
@@ -1358,9 +1242,9 @@ let pgo_bench ?(quick = false) () =
   let deopts = List.fold_left (fun a r -> a + r.g_deopts) 0 rows in
   let deopt_rate = float_of_int deopts /. float_of_int (max 1 icalls) in
   say "";
+  let simulated_runs = List.fold_left (fun a (_, w) -> a + w) 0 schedule in
   say "fleet: %d simulated runs over %d distinct inputs per workload"
-    (List.fold_left (fun a (_, w) -> a + w) 0 schedule)
-    distinct;
+    simulated_runs distinct;
   say "geomean speedup: %.2fx; %d sites promoted; deopt rate %.1f%% (%d/%d)"
     gm promoted (100.0 *. deopt_rate) deopts icalls;
   (* quick runs gate on correctness only (CI boxes time noisily); the
@@ -1369,34 +1253,25 @@ let pgo_bench ?(quick = false) () =
     !behaviour_ok && promoted > 0 && ((not quick) || gm > 0.0)
     && (quick || gm >= 1.15)
   in
-  let oc = open_out "BENCH_pgo.json" in
-  let j fmt = Printf.fprintf oc fmt in
-  j "{\n  \"workloads\": [\n";
-  List.iteri
-    (fun k r ->
-      j
-        "    {\"name\": %S, \"base_s\": %.6f, \"pgo_s\": %.6f, \"speedup\": \
-         %.3f, \"promoted\": %d, \"inlined\": %d, \"sites\": %d, \
-         \"indirect_calls\": %d, \"deopts\": %d, \"reps\": %d}%s\n"
-        r.g_name r.g_base_s r.g_opt_s r.g_speedup r.g_promoted r.g_inlined
-        r.g_sites r.g_icalls r.g_deopts r.g_reps
-        (if k = List.length rows - 1 then "" else ","))
-    rows;
-  j "  ],\n";
-  j "  \"geomean_speedup_genprog\": %.3f,\n" gm;
-  j "  \"simulated_runs_per_workload\": %d,\n"
-    (List.fold_left (fun a (_, w) -> a + w) 0 schedule);
-  j "  \"distinct_inputs\": %d,\n" distinct;
-  j "  \"sites_promoted\": %d,\n" promoted;
-  j "  \"deopts\": %d,\n" deopts;
-  j "  \"indirect_calls\": %d,\n" icalls;
-  j "  \"deopt_rate\": %.4f,\n" deopt_rate;
-  j "  \"behaviour_identical\": %b,\n" !behaviour_ok;
-  j "  \"quick\": %b,\n" quick;
-  j "  \"clean\": %b\n" clean;
-  j "}\n";
-  close_out oc;
-  say "wrote BENCH_pgo.json";
+  let row r =
+    Json.(
+      Obj
+        [ ("name", String r.g_name); ("base_s", fixed 6 r.g_base_s);
+          ("pgo_s", fixed 6 r.g_opt_s); ("speedup", fixed 3 r.g_speedup);
+          ("promoted", Int r.g_promoted); ("inlined", Int r.g_inlined);
+          ("sites", Int r.g_sites); ("indirect_calls", Int r.g_icalls);
+          ("deopts", Int r.g_deopts); ("reps", Int r.g_reps) ])
+  in
+  write_report "BENCH_pgo.json"
+    Json.
+      [ ("workloads", List (List.map row rows));
+        ("geomean_speedup_genprog", fixed 3 gm);
+        ("simulated_runs_per_workload", Int simulated_runs);
+        ("distinct_inputs", Int distinct);
+        ("sites_promoted", Int promoted); ("deopts", Int deopts);
+        ("indirect_calls", Int icalls); ("deopt_rate", fixed 4 deopt_rate);
+        ("behaviour_identical", Bool !behaviour_ok); ("quick", Bool quick);
+        ("clean", Bool clean) ];
   say "";
   if not clean then exit 1
 
@@ -1484,29 +1359,21 @@ let validate_bench ?(quick = false) () =
     (validated /. Float.max 1e-9 plain)
     rejected;
   say "inject-sub-swap rejected by the witness check: %b" injected_rejected;
-  let oc = open_out "BENCH_validate.json" in
-  let j fmt = Printf.fprintf oc fmt in
-  j "{\n";
-  j "  \"quick\": %b,\n" quick;
-  j "  \"workloads\": [\n";
-  List.iteri
-    (fun k (name, p, v, r) ->
-      j
-        "    {\"name\": %S, \"level\": %d, \"plain_s\": %.4f, \
-         \"validated_s\": %.4f, \"rejected\": %d}%s\n"
-        name level p v r
-        (if k = List.length rows - 1 then "" else ","))
-    rows;
-  j "  ],\n";
-  j "  \"plain_s\": %.4f,\n" plain;
-  j "  \"validated_s\": %.4f,\n" validated;
-  j "  \"overhead\": %.3f,\n" (validated /. Float.max 1e-9 plain);
-  j "  \"rejected\": %d,\n" rejected;
-  j "  \"injected_miscompile_rejected\": %b,\n" injected_rejected;
-  j "  \"clean\": %b\n" clean;
-  j "}\n";
-  close_out oc;
-  say "wrote BENCH_validate.json";
+  let row (name, p, v, r) =
+    Json.(
+      Obj
+        [ ("name", String name); ("level", Int level);
+          ("plain_s", fixed 4 p); ("validated_s", fixed 4 v);
+          ("rejected", Int r) ])
+  in
+  write_report "BENCH_validate.json"
+    Json.
+      [ ("quick", Bool quick); ("workloads", List (List.map row rows));
+        ("plain_s", fixed 4 plain); ("validated_s", fixed 4 validated);
+        ("overhead", fixed 3 (validated /. Float.max 1e-9 plain));
+        ("rejected", Int rejected);
+        ("injected_miscompile_rejected", Bool injected_rejected);
+        ("clean", Bool clean) ];
   say "";
   if not clean then exit 1
 
@@ -1517,7 +1384,6 @@ let () =
     table1 ~field_sensitive:(not (List.mem "--no-fields" rest)) ()
   | _ :: "table2" :: rest -> table2 ~promote:(not (List.mem "--raw" rest)) ()
   | _ :: "figure5" :: _ -> figure5 ()
-  | _ :: "lifelong" :: _ -> lifelong ()
   | _ :: "safecode" :: _ -> safecode ()
   | _ :: "ranges" :: rest -> ranges_bench ~quick:(List.mem "--quick" rest) ()
   | _ :: "poolalloc" :: _ -> poolalloc ()
@@ -1540,5 +1406,4 @@ let () =
     pgo_bench ();
     validate_bench ();
     fuzz_bench ~quick:true ();
-    chaos_bench ~quick:true ();
-    lifelong ()
+    chaos_bench ~quick:true ()

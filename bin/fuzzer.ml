@@ -8,54 +8,6 @@
 
 open Cmdliner
 
-let json_escape (s : string) : string =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let failure_json (fa : Llvm_fuzz.Fuzz.failure) : string =
-  Printf.sprintf
-    "{\"seed\": %d, \"path\": %d, \"oracle\": \"%s\", \"mutations\": [%s], \
-     \"instrs\": %d, \"message\": \"%s\", \"repro\": %s}"
-    fa.fa_seed fa.fa_path (json_escape fa.fa_oracle)
-    (String.concat ", "
-       (List.map (fun m -> "\"" ^ json_escape m ^ "\"") fa.fa_mutations))
-    fa.fa_instrs (json_escape fa.fa_message)
-    (match fa.fa_repro with
-    | None -> "null"
-    | Some f -> "\"" ^ json_escape f ^ "\"")
-
-let report_json ~elapsed (r : Llvm_fuzz.Fuzz.report) : string =
-  Printf.sprintf
-    "{\n\
-    \  \"seeds\": %d,\n\
-    \  \"checks\": %d,\n\
-    \  \"passed\": %d,\n\
-    \  \"failed\": %d,\n\
-    \  \"skipped\": %d,\n\
-    \  \"mutations\": %d,\n\
-    \  \"elapsed_seconds\": %.2f,\n\
-    \  \"failures\": [%s]\n\
-     }"
-    r.r_seeds r.r_checks r.r_passed r.r_failed r.r_skipped r.r_mutations
-    elapsed
-    (match r.r_failures with
-    | [] -> ""
-    | fas ->
-      "\n    "
-      ^ String.concat ",\n    " (List.map failure_json fas)
-      ^ "\n  ")
-
 let resolve_oracles (names : string list) : Llvm_fuzz.Oracle.t list =
   match names with
   | [] -> Llvm_fuzz.Oracle.all
@@ -96,7 +48,10 @@ let run seed count oracle_names paths mut_count max_seconds corpus no_reduce
   in
   let report = Llvm_fuzz.Fuzz.run ~progress ~stop cfg ~first:seed ~count in
   let elapsed = Unix.gettimeofday () -. t0 in
-  if json then print_endline (report_json ~elapsed report)
+  if json then
+    print_endline
+      (Llvm_json.Json.to_string
+         (Llvm_json.Json.Obj (Llvm_fuzz.Fuzz.report_json ~elapsed report)))
   else begin
     Fmt.pr "fuzzed %d seeds (%d oracle checks) in %.1fs@." report.r_seeds
       report.r_checks elapsed;

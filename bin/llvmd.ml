@@ -263,7 +263,7 @@ let ping_cmd =
 
 let stats socket =
   let json, _ = exchange ~socket ~retries:1 ~deadline_ms:0 Protocol.Stats in
-  print_string json
+  print_endline json
 
 let stats_cmd =
   Cmd.v

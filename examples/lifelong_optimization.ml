@@ -10,8 +10,8 @@
    inliner's size budget, so link-time IPO keeps every call; the field
    profile shows the call in [main]'s loop is hot, and the
    reoptimizer's bigger budget for hot sites inlines that one.
-   Exits non-zero unless run 2 prints the same output with fewer
-   instructions.
+   Exits non-zero unless run 2 ends with the same status and prints the
+   same output with fewer instructions.
 
    Run with:  dune exec examples/lifelong_optimization.exe *)
 
@@ -109,7 +109,13 @@ let () =
     r2.instructions
     (100. *. (1. -. (float_of_int r2.instructions /. float_of_int r1.instructions)));
   Emit_sample.emit "lifelong_optimization" exe.program;
-  if r1.output <> r2.output || r2.instructions >= r1.instructions then begin
-    prerr_endline "run 2 must print the same output with fewer instructions";
+  if
+    Llvm_exec.Interp.show_status r1 <> Llvm_exec.Interp.show_status r2
+    || r1.output <> r2.output
+    || r2.instructions >= r1.instructions
+  then begin
+    prerr_endline
+      "run 2 must behave identically (status and output) with fewer \
+       instructions";
     exit 1
   end

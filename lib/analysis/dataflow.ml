@@ -43,6 +43,10 @@ let fold_block_forward (tf : 'a -> instr -> 'a) (b : block) (fact : 'a) : 'a =
 let fold_block_backward (tf : 'a -> instr -> 'a) (b : block) (fact : 'a) : 'a =
   List.fold_left tf fact (List.rev b.instrs)
 
+(* A termination guard on block visits, not a tuning knob: a monotone
+   transfer converges long before it. *)
+let max_steps = 1_000_000
+
 module Make (L : LATTICE) = struct
   type result = {
     before_tbl : (int, L.fact) Hashtbl.t; (* block id -> fact at block entry *)
@@ -64,9 +68,8 @@ module Make (L : LATTICE) = struct
      one end of [b] to the fact at the other; it must be monotone for
      termination, and should map [bottom] to [bottom] when it wants
      unreached predecessors to stay silent. *)
-  let run ?(max_steps = 1_000_000) ~(direction : direction)
-      ~(boundary : L.fact) ~(transfer : block -> L.fact -> L.fact) (f : func)
-      : result =
+  let run ~(direction : direction) ~(boundary : L.fact)
+      ~(transfer : block -> L.fact -> L.fact) (f : func) : result =
     let r = { before_tbl = Hashtbl.create 64; after_tbl = Hashtbl.create 64 } in
     let order =
       match direction with

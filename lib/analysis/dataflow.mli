@@ -38,7 +38,6 @@ module Make (L : LATTICE) : sig
       (forward) or postorder (backward); unreachable blocks keep
       [L.bottom]. *)
   val run :
-    ?max_steps:int ->
     direction:direction ->
     boundary:L.fact ->
     transfer:(Llvm_ir.Ir.block -> L.fact -> L.fact) ->

@@ -77,23 +77,11 @@ let pp_diag fmt (d : diag) =
   Fmt.pf fmt "%s/%s: [%s] %s: %s" d.func d.block d.code
     (severity_name d.severity) d.message
 
-(* One-line JSON form for machine consumers (editors, CI annotators). *)
+(* One-line JSON form for machine consumers (editors, CI annotators).
+   Compact rather than [Json.to_string]'s layout: served lint payloads
+   are these bytes, so they must stay stable. *)
 let diag_to_json (d : diag) : string =
-  let escape s =
-    let buf = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-  in
+  let escape = Llvm_json.Json.escape in
   Printf.sprintf
     {|{"code":"%s","severity":"%s","func":"%s","block":"%s","message":"%s"}|}
     (escape d.code)

@@ -291,7 +291,6 @@ let encode_body (e : enc) ~(strip : bool) (b : Buffer.t) (f : func) : unit =
   end
 
 let encode ?(strip = false) (m : modul) : string * stats =
-  ignore strip;
   let stats = { one_word_instrs = 0; wide_instrs = 0; total_bytes = 0 } in
   let e =
     { buf = Buffer.create 4096; types = Hashtbl.create 64;

@@ -7,8 +7,9 @@
      [Bytecode] on first call and executed in the dispatch loop.
    - [Tiered]       : calls start in the interpreter; the existing
      block-profile instrumentation counts function entries (the entry
-     block's execution count), and a function crossing [hot_threshold]
-     is promoted to bytecode for all subsequent calls.
+     block's execution count), and a function crossing
+     [default_hot_threshold] is promoted to bytecode for all subsequent
+     calls.
 
    The engine installs itself as [machine.dispatch], so call sites in
    either tier route every call back through the tier decision —
@@ -26,18 +27,11 @@ let kind_name = function
   | Bytecode_tier -> "bytecode"
   | Tiered -> "tiered"
 
-let kind_of_string = function
-  | "interp" -> Some Interp_tier
-  | "bytecode" -> Some Bytecode_tier
-  | "tiered" -> Some Tiered
-  | _ -> None
-
 let default_hot_threshold = 8
 
 type t = {
   mach : machine;
   kind : kind;
-  hot_threshold : int;
   compiled : (int, Bytecode.compiled) Hashtbl.t; (* func id -> bytecode *)
   (* whole-module value ranges, computed once when the first function is
      compiled; lets [Bytecode.compile] emit unguarded fast ops for
@@ -64,14 +58,13 @@ let get_compiled (e : t) (f : func) : Bytecode.compiled =
     Hashtbl.replace e.compiled f.fid c;
     c
 
-let create ?(hot_threshold = default_hot_threshold) ?(profiling = false)
-    ?profile (kind : kind) (m : modul) : t =
+let create ?(profiling = false) ?profile (kind : kind) (m : modul) : t =
   let mach = Interp.create m in
   (* Tiering needs entry counts, so it forces profiling on; this keeps
      profiles identical across tiers rather than a tiered-only extra. *)
   mach.profiling <- profiling || kind = Tiered;
   let e =
-    { mach; kind; hot_threshold; compiled = Hashtbl.create 32;
+    { mach; kind; compiled = Hashtbl.create 32;
       ranges = lazy (Llvm_analysis.Range.analyze m); layout_profile = profile;
       promotions = []; deopt_falls = 0 }
   in
@@ -108,7 +101,7 @@ let create ?(hot_threshold = default_hot_threshold) ?(profiling = false)
           | Some c -> Bytecode.exec mach c args
           | None ->
             let n = entries e f in
-            if n >= e.hot_threshold then begin
+            if n >= default_hot_threshold then begin
               let c = get_compiled e f in
               e.promotions <- (f.fname, n) :: e.promotions;
               Bytecode.exec mach c args
@@ -147,12 +140,12 @@ let compile_all (e : t) : int * int =
    materialization during [create] — as a [run_result] rather than an
    exception.  The second component is the machine's block counts,
    keyed by block id (empty when main never ran). *)
-let run_main ?fuel ?hot_threshold ?(profiling = false) ?profile (kind : kind)
-    (m : modul) : run_result * (int, int) Hashtbl.t =
+let run_main ?fuel ?(profiling = false) ?profile (kind : kind) (m : modul) :
+    run_result * (int, int) Hashtbl.t =
   let failed status =
     ({ status; output = ""; instructions = 0 }, Hashtbl.create 1)
   in
-  match create ?hot_threshold ~profiling ?profile kind m with
+  match create ~profiling ?profile kind m with
   | exception Memory.Trap msg -> failed (`Trapped msg)
   | exception Exit_program code -> failed (`Exited code)
   | e -> (

@@ -12,13 +12,11 @@
 type kind = Interp_tier | Bytecode_tier | Tiered
 
 val kind_name : kind -> string
-val kind_of_string : string -> kind option
 val default_hot_threshold : int
 
 type t = {
   mach : Interp.machine;
   kind : kind;
-  hot_threshold : int;
   compiled : (int, Bytecode.compiled) Hashtbl.t;  (** func id -> bytecode *)
   ranges : Llvm_analysis.Range.t Lazy.t;
       (** whole-module value ranges, forced when the first function is
@@ -41,7 +39,6 @@ type t = {
     tier.  Tiers are bit-for-bit identical, so the fallback is purely
     an execution-strategy decision. *)
 val create :
-  ?hot_threshold:int ->
   ?profiling:bool ->
   ?profile:Llvm_profile.Profile.t ->
   kind ->
@@ -76,7 +73,6 @@ val compile_all : t -> int * int
     clones sharing a block name stay distinct. *)
 val run_main :
   ?fuel:int ->
-  ?hot_threshold:int ->
   ?profiling:bool ->
   ?profile:Llvm_profile.Profile.t ->
   kind ->

@@ -154,3 +154,20 @@ let run ?(progress = fun _ _ -> ()) ?(stop = fun () -> false) (cfg : config)
      done
    with Exit -> ());
   { !report with r_failures = List.rev !report.r_failures }
+
+let report_json ~(elapsed : float) (r : report) :
+    (string * Llvm_json.Json.t) list =
+  let open Llvm_json.Json in
+  let failure (fa : failure) =
+    Obj
+      [ ("seed", Int fa.fa_seed); ("path", Int fa.fa_path);
+        ("oracle", String fa.fa_oracle);
+        ("mutations", List (List.map (fun m -> String m) fa.fa_mutations));
+        ("instrs", Int fa.fa_instrs); ("message", String fa.fa_message);
+        ("repro", match fa.fa_repro with None -> Null | Some f -> String f) ]
+  in
+  [ ("seeds", Int r.r_seeds); ("checks", Int r.r_checks);
+    ("passed", Int r.r_passed); ("failed", Int r.r_failed);
+    ("skipped", Int r.r_skipped); ("mutations", Int r.r_mutations);
+    ("elapsed_s", fixed 2 elapsed);
+    ("failures", List (List.map failure r.r_failures)) ]

@@ -52,6 +52,12 @@ val run :
   count:int ->
   report
 
+(** The report's JSON members, as [llvm-fuzz --json] prints them and
+    [bench fuzz] writes them: the counters, [elapsed_s] (the caller's
+    wall time, 2 decimals) and every failure. *)
+val report_json :
+  elapsed:float -> report -> (string * Llvm_json.Json.t) list
+
 (** Render a module as a corpus repro file: header comments recording
     seed, path, mutation chain and oracle message, then the IR. *)
 val repro_contents :

@@ -235,18 +235,20 @@ type state = {
 
 exception Busy_socket of string
 
-let daemon_stats_json (st : state) : string =
-  Printf.sprintf
-    "{\"workers\": %d, \"restarts\": %d, \"shed\": %d, \"hard_timeouts\": \
-     %d, \"stalled_connections\": %d, \"degraded_hits\": %d, \
-     \"degraded_busy\": %d, \"breaker\": \"%s\", \"deadline_ms\": %d, \
-     \"max_queue\": %d}"
-    (match st.pool with Some p -> Worker.size p | None -> 0)
-    (match st.pool with Some p -> Worker.restarts p | None -> 0)
-    st.shed st.hard_timeouts st.stalled_connections st.degraded_hits
-    st.degraded_busy
-    (breaker_state_name st.brk)
-    st.cfg.deadline_ms st.cfg.max_queue
+let daemon_stats_json (st : state) : Llvm_json.Json.t =
+  let open Llvm_json.Json in
+  Obj
+    [ ( "workers",
+        Int (match st.pool with Some p -> Worker.size p | None -> 0) );
+      ( "restarts",
+        Int (match st.pool with Some p -> Worker.restarts p | None -> 0) );
+      ("shed", Int st.shed); ("hard_timeouts", Int st.hard_timeouts);
+      ("stalled_connections", Int st.stalled_connections);
+      ("degraded_hits", Int st.degraded_hits);
+      ("degraded_busy", Int st.degraded_busy);
+      ("breaker", String (breaker_state_name st.brk));
+      ("deadline_ms", Int st.cfg.deadline_ms);
+      ("max_queue", Int st.cfg.max_queue) ]
 
 (* A request's effective budget: its own deadline, or the daemon-wide
    default. *)

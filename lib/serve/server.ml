@@ -141,19 +141,11 @@ let run_passes ~(deadline : float option)
       Faults.pass_boundary ())
     passes
 
-let level_passes (l : int) : Llvm_transforms.Pass.t list =
-  let open Llvm_transforms.Pipelines in
-  match l with
-  | 0 -> []
-  | 1 -> per_function_cleanup
-  | 2 -> per_module
-  | _ -> per_module @ link_time_ipo
-
 let run_pipeline ~(deadline : float option) (spec : Protocol.pipeline)
     (m : Ir.modul) : (unit, string) result =
   match spec with
   | Protocol.Level l ->
-    run_passes ~deadline (level_passes l) m;
+    run_passes ~deadline (Llvm_transforms.Pipelines.level_passes l) m;
     Ok ()
   | Protocol.Passes names ->
     let rec resolve acc = function
@@ -497,64 +489,59 @@ let latency_quantile_ms (t : t) (q : float) : float =
     !result
   end
 
-(* [extra] is raw JSON spliced in as additional top-level fields — the
-   daemon uses it to report supervision state (workers, restarts, shed
-   counts, breaker) alongside the server's own counters. *)
-let stats_json ?(extra : (string * string) list = []) (t : t) : string =
-  let b = Buffer.create 1024 in
-  let j fmt = Printf.bprintf b fmt in
-  j "{\n";
-  j "  \"uptime_s\": %.3f,\n" (Unix.gettimeofday () -. t.started);
-  j
-    "  \"requests\": {\"compile\": %d, \"link\": %d, \"run\": %d, \"lint\": \
-     %d, \"stats\": %d, \"ping\": %d, \"total\": %d, \"failed\": %d, \
-     \"rejected\": %d, \"timed_out\": %d},\n"
-    t.ctr.c_compile t.ctr.c_link t.ctr.c_run t.ctr.c_lint t.ctr.c_stats
-    t.ctr.c_ping (requests t) t.ctr.c_failed t.ctr.c_rejected
-    t.ctr.c_timed_out;
-  j "  \"validation_rejects\": %d,\n" t.validation_rejects;
-  j
-    "  \"cache\": {\"hit_rate\": %.4f, \"hits\": %d, \"misses\": %d, \
-     \"evictions\": %d, \"entries\": %d, \"bytes\": %d, \"corrupt\": %d,\n"
-    (Cache.hit_rate t.cache) (Cache.hits t.cache) (Cache.misses t.cache)
-    (Cache.evictions t.cache) (Cache.entries t.cache) (Cache.bytes t.cache)
-    (Cache.corrupt t.cache);
-  j "    \"shards\": [\n";
-  let stats = Cache.shard_stats t.cache in
-  Array.iteri
-    (fun k (s : Cache.shard_stats) ->
-      let rate =
-        if s.Cache.s_hits + s.Cache.s_misses = 0 then 0.0
-        else
-          float_of_int s.Cache.s_hits
-          /. float_of_int (s.Cache.s_hits + s.Cache.s_misses)
-      in
-      j
-        "      {\"shard\": %d, \"entries\": %d, \"bytes\": %d, \"budget\": \
-         %d, \"hits\": %d, \"misses\": %d, \"puts\": %d, \"evictions\": %d, \
-         \"oversize\": %d, \"corrupt\": %d, \"hit_rate\": %.4f}%s\n"
-        k s.Cache.s_entries s.Cache.s_bytes s.Cache.s_budget s.Cache.s_hits
-        s.Cache.s_misses s.Cache.s_puts s.Cache.s_evictions s.Cache.s_oversize
-        s.Cache.s_corrupt rate
-        (if k = Array.length stats - 1 then "" else ","))
-    stats;
-  j "    ]},\n";
-  j
-    "  \"latency\": {\"count\": %d, \"p50_ms\": %.3f, \"p90_ms\": %.3f, \
-     \"p99_ms\": %.3f, \"max_ms\": %.3f}%s\n"
-    t.lat_count
-    (latency_quantile_ms t 0.50)
-    (latency_quantile_ms t 0.90)
-    (latency_quantile_ms t 0.99)
-    (float_of_int t.lat_max_us /. 1000.0)
-    (if extra = [] then "" else ",");
-  List.iteri
-    (fun i (name, json) ->
-      j "  %S: %s%s\n" name json
-        (if i = List.length extra - 1 then "" else ","))
-    extra;
-  j "}\n";
-  Buffer.contents b
+(* [extra] members follow the server's own counters — the daemon adds
+   its supervision state (workers, restarts, shed counts, breaker). *)
+let stats_json ?(extra : (string * Llvm_json.Json.t) list = []) (t : t) :
+    string =
+  let open Llvm_json.Json in
+  let shard k (s : Cache.shard_stats) =
+    let rate =
+      if s.Cache.s_hits + s.Cache.s_misses = 0 then 0.0
+      else
+        float_of_int s.Cache.s_hits
+        /. float_of_int (s.Cache.s_hits + s.Cache.s_misses)
+    in
+    Obj
+      [ ("shard", Int k); ("entries", Int s.Cache.s_entries);
+        ("bytes", Int s.Cache.s_bytes); ("budget", Int s.Cache.s_budget);
+        ("hits", Int s.Cache.s_hits); ("misses", Int s.Cache.s_misses);
+        ("puts", Int s.Cache.s_puts); ("evictions", Int s.Cache.s_evictions);
+        ("oversize", Int s.Cache.s_oversize);
+        ("corrupt", Int s.Cache.s_corrupt); ("hit_rate", fixed 4 rate) ]
+  in
+  to_string
+    (Obj
+       ([ ("uptime_s", fixed 3 (Unix.gettimeofday () -. t.started));
+          ( "requests",
+            Obj
+              [ ("compile", Int t.ctr.c_compile); ("link", Int t.ctr.c_link);
+                ("run", Int t.ctr.c_run); ("lint", Int t.ctr.c_lint);
+                ("stats", Int t.ctr.c_stats); ("ping", Int t.ctr.c_ping);
+                ("total", Int (requests t)); ("failed", Int t.ctr.c_failed);
+                ("rejected", Int t.ctr.c_rejected);
+                ("timed_out", Int t.ctr.c_timed_out) ] );
+          ("validation_rejects", Int t.validation_rejects);
+          ( "cache",
+            Obj
+              [ ("hit_rate", fixed 4 (Cache.hit_rate t.cache));
+                ("hits", Int (Cache.hits t.cache));
+                ("misses", Int (Cache.misses t.cache));
+                ("evictions", Int (Cache.evictions t.cache));
+                ("entries", Int (Cache.entries t.cache));
+                ("bytes", Int (Cache.bytes t.cache));
+                ("corrupt", Int (Cache.corrupt t.cache));
+                ( "shards",
+                  List
+                    (Array.to_list
+                       (Array.mapi shard (Cache.shard_stats t.cache))) ) ] );
+          ( "latency",
+            Obj
+              [ ("count", Int t.lat_count);
+                ("p50_ms", fixed 3 (latency_quantile_ms t 0.50));
+                ("p90_ms", fixed 3 (latency_quantile_ms t 0.90));
+                ("p99_ms", fixed 3 (latency_quantile_ms t 0.99));
+                ("max_ms", fixed 3 (float_of_int t.lat_max_us /. 1000.0)) ] ) ]
+       @ extra))
 
 (* -- Dispatch ------------------------------------------------------------------- *)
 

@@ -66,6 +66,6 @@ val install : t -> key:string -> Protocol.response -> unit
 
 (** The payload of a [Stats] response: per-shard hit rates, evictions,
     occupancy, request counters, and the latency histogram summary.
-    [extra] fields (raw JSON values) are spliced in at top level — the
-    daemon adds its supervision state under ["daemon"]. *)
-val stats_json : ?extra:(string * string) list -> t -> string
+    [extra] members follow at top level — the daemon adds its
+    supervision state under ["daemon"]. *)
+val stats_json : ?extra:(string * Llvm_json.Json.t) list -> t -> string

@@ -348,8 +348,8 @@ let should_inline (ctx : context) ?(threshold = default_threshold)
    when large; a site the fleet executed gets a modest boost; a site no
    run ever reached is cold — shrink its budget so dead cross-calls do
    not bloat the code the JIT must compile. *)
-let site_threshold ?profile ~(threshold : int) (caller : func) (site : instr) :
-    int =
+let site_threshold ?profile (caller : func) (site : instr) : int =
+  let threshold = default_threshold in
   match (profile, site.iparent) with
   | None, _ | _, None -> threshold
   | Some p, Some b ->
@@ -364,7 +364,7 @@ let site_threshold ?profile ~(threshold : int) (caller : func) (site : instr) :
       in
       if w > entry_w then threshold * 8 else threshold * 2
 
-let run ?(threshold = default_threshold) ?profile (m : modul) : stats =
+let run ?profile (m : modul) : stats =
   let stats = { inlined_calls = 0; deleted_functions = 0 } in
   let ctx = make_context m in
   (* Visit callees before callers so that inlining composes bottom-up. *)
@@ -388,8 +388,7 @@ let run ?(threshold = default_threshold) ?profile (m : modul) : stats =
                 match call_callee i with
                 | Vfunc callee
                   when should_inline ctx
-                         ~threshold:
-                           (site_threshold ?profile ~threshold caller i)
+                         ~threshold:(site_threshold ?profile caller i)
                          caller callee ->
                   sites := i :: !sites
                 | _ -> ())

@@ -11,8 +11,6 @@ type stats = {
   mutable deleted_functions : int;
 }
 
-val default_threshold : int
-
 (** {1 Block surgery} (shared with the speculative-promotion pass) *)
 
 (** Replace [old_pred] with [new_pred] in the phis of the block. *)
@@ -60,7 +58,6 @@ val should_inline :
     call's block: sites hotter than their caller's entry (loops) get
     8x, sites the fleet executed at all get 2x, and never-executed
     sites get a quarter. *)
-val run :
-  ?threshold:int -> ?profile:Llvm_profile.Profile.t -> Llvm_ir.Ir.modul -> stats
+val run : ?profile:Llvm_profile.Profile.t -> Llvm_ir.Ir.modul -> stats
 
 val pass : Pass.t

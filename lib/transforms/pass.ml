@@ -39,13 +39,6 @@ let time_pass (p : t) (m : Ir.modul) : bool * float =
 let run_sequence (passes : t list) (m : Ir.modul) : bool =
   List.fold_left (fun changed p -> run_pass p m || changed) false passes
 
-(* Iterate a sequence until no pass reports a change (bounded). *)
-let run_to_fixpoint ?(max_iters = 8) (passes : t list) (m : Ir.modul) : unit =
-  let rec go n =
-    if n < max_iters && run_sequence passes m then go (n + 1)
-  in
-  go 0
-
 (* -- Registry ----------------------------------------------------------- *)
 
 let registry : (string, t) Hashtbl.t = Hashtbl.create 32

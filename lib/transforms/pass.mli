@@ -23,7 +23,6 @@ val run_pass : t -> Llvm_ir.Ir.modul -> bool
 val time_pass : t -> Llvm_ir.Ir.modul -> bool * float
 
 val run_sequence : t list -> Llvm_ir.Ir.modul -> bool
-val run_to_fixpoint : ?max_iters:int -> t list -> Llvm_ir.Ir.modul -> unit
 
 (** {1 Registry (used by the opt tool)} *)
 

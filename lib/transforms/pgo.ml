@@ -255,10 +255,9 @@ let promote_unguarded ?(min_count = default_min_count)
    calls it may integrate — then the standard post-inline cleanup (the
    inliner leaves redundant copies and branches behind, the same reason
    [Pipelines.link_time_ipo] follows every inline round with these). *)
-let optimize ?min_count ?min_share ?(inline_threshold = Inline.default_threshold)
-    (p : Profile.t) (m : modul) : stats =
+let optimize ?min_count ?min_share (p : Profile.t) (m : modul) : stats =
   let promoted = promote ?min_count ?min_share p m in
-  let s = Inline.run ~threshold:inline_threshold ~profile:p m in
+  let s = Inline.run ~profile:p m in
   List.iter
     (fun pass -> ignore (Pass.run_pass pass m))
     [ Simplify_cfg.pass; Gvn.pass; Storeforward.pass; Constprop.pass;

@@ -50,7 +50,6 @@ val promote_unguarded :
 val optimize :
   ?min_count:int ->
   ?min_share:float ->
-  ?inline_threshold:int ->
   Llvm_profile.Profile.t ->
   Llvm_ir.Ir.modul ->
   stats

@@ -34,11 +34,12 @@ let link_time_ipo =
     Rangeprop.pass; Constprop.pass; Dce.adce_pass; Dae.pass; Dge.pass;
     Deadtypes.pass ]
 
-let optimize_module ?(level = 2) (m : Llvm_ir.Ir.modul) : unit =
+let level_passes (level : int) : Pass.t list =
   match level with
-  | 0 -> ()
-  | 1 -> ignore (Pass.run_sequence per_function_cleanup m)
-  | 2 -> ignore (Pass.run_sequence per_module m)
-  | _ ->
-    ignore (Pass.run_sequence per_module m);
-    ignore (Pass.run_sequence link_time_ipo m)
+  | 0 -> []
+  | 1 -> per_function_cleanup
+  | 2 -> per_module
+  | _ -> per_module @ link_time_ipo
+
+let optimize_module ?(level = 2) (m : Llvm_ir.Ir.modul) : unit =
+  ignore (Pass.run_sequence (level_passes level) m)

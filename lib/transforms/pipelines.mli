@@ -10,6 +10,10 @@ val per_function_cleanup : Pass.t list
 val per_module : Pass.t list
 val link_time_ipo : Pass.t list
 
-(** [level]: 0 = nothing, 1 = cleanup, 2 = per-module, 3 = per-module
-    followed by the link-time interprocedural pipeline. *)
+(** The passes of optimization level [level]: 0 = nothing, 1 =
+    cleanup, 2 = per-module, 3 (and above) = per-module followed by the
+    link-time interprocedural pipeline. *)
+val level_passes : int -> Pass.t list
+
+(** Run [level_passes level] (default 2) over the module. *)
 val optimize_module : ?level:int -> Llvm_ir.Ir.modul -> unit

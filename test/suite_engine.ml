@@ -106,7 +106,7 @@ let test_tiered_promotes_hot_functions () =
   let name, src = List.hd Ehprog.programs in
   (* risky() is called 600 times from main's loop *)
   let m = Ehprog.compile name src in
-  let e = Engine.create ~hot_threshold:8 Engine.Tiered m in
+  let e = Engine.create Engine.Tiered m in
   let main = Option.get (Ir.find_func m "main") in
   let r = Interp.run_function ~fuel e.Engine.mach main [] in
   (match r.Interp.status with

@@ -233,6 +233,41 @@ let test_fuzz_run_clean_on_defaults () =
     (3 * List.length Oracle.all * 2)
     report.Fuzz.r_checks
 
+let test_report_json () =
+  let failure =
+    { Fuzz.fa_seed = 7; fa_path = 1; fa_mutations = [ "split-block"; "reorder" ];
+      fa_oracle = "exec"; fa_message = "status \"trap\"\nexpected ok";
+      fa_instrs = 12; fa_repro = None }
+  in
+  let report =
+    { Fuzz.empty_report with
+      r_seeds = 3; r_checks = 10; r_passed = 9; r_failed = 1;
+      r_failures = [ failure ]; r_mutations = 4 }
+  in
+  Alcotest.(check string) "llvm-fuzz --json and bench fuzz members"
+    {|{
+  "seeds": 3,
+  "checks": 10,
+  "passed": 9,
+  "failed": 1,
+  "skipped": 0,
+  "mutations": 4,
+  "elapsed_s": 1.23,
+  "failures": [
+    {
+      "seed": 7,
+      "path": 1,
+      "oracle": "exec",
+      "mutations": ["split-block", "reorder"],
+      "instrs": 12,
+      "message": "status \"trap\"\nexpected ok",
+      "repro": null
+    }
+  ]
+}|}
+    (Llvm_json.Json.to_string
+       (Llvm_json.Json.Obj (Fuzz.report_json ~elapsed:1.234 report)))
+
 let tests =
   [ Alcotest.test_case "all oracles pass on generated modules" `Quick
       test_oracles_pass_on_generated;
@@ -251,4 +286,6 @@ let tests =
     Alcotest.test_case "inline invoke handler phi regression" `Quick
       test_inline_invoke_no_stale_phi_entry;
     Alcotest.test_case "fuzz driver reports clean runs" `Quick
-      test_fuzz_run_clean_on_defaults ]
+      test_fuzz_run_clean_on_defaults;
+    Alcotest.test_case "report JSON carries every failure" `Quick
+      test_report_json ]

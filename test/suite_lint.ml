@@ -276,7 +276,16 @@ let test_printers () =
   check "text has code" true (contains ~affix:"[L001]" text);
   let json = Lint.diag_to_json d in
   check "json has code" true (contains ~affix:{|"code":"L001"|} json);
-  check "json has severity" true (contains ~affix:{|"severity":"error"|} json)
+  check "json has severity" true (contains ~affix:{|"severity":"error"|} json);
+  (* served lint payloads are these bytes: the compact form is frozen *)
+  let d =
+    { d with
+      Lint.code = "L002"; func = "main"; block = "entry";
+      message = "store to \"p\" may be null\n\tvia \001phi\\" }
+  in
+  Alcotest.(check string) "json bytes are stable"
+    {|{"code":"L002","severity":"error","func":"main","block":"entry","message":"store to \"p\" may be null\n\tvia \u0001phi\\"}|}
+    (Lint.diag_to_json d)
 
 let test_count_by_code () =
   let counts = Lint.count_by_code (lint (double_free_module ())) in

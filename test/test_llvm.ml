@@ -17,4 +17,5 @@ let () =
       ("fuzz", Suite_fuzz.tests);
       ("random", Suite_random.tests);
       ("serve", Suite_serve.tests);
+      ("json", Suite_json.tests);
       ("tools", Suite_tools.tests) ]
