@@ -11,8 +11,10 @@
                  plus the compressibility observation of section 4.1.3
      lint      — per-checker llvm-lint finding counts over the Table-1
                  workloads (analyzer precision tracked like a benchmark)
-     ranges    — value-range analysis: bounds checks eliminated, fast
-                 bytecode ops, and exec-time delta per Table-1 workload
+     ranges    — SAFECode-style bounds checks (section 4.1.2): checks
+                 the value-range analysis eliminates, fast bytecode ops,
+                 and exec-time delta per Table-1 workload, every run
+                 checked on all three tiers
                  (BENCH_ranges.json; --quick for the CI variant)
      fuzz      — differential fuzzing smoke: multi-oracle consistency
                  over generated modules and semantics-preserving mutants
@@ -252,20 +254,24 @@ let figure5 () =
    one profiled run per tier (including tiered) must agree on status,
    output, instruction count and block profile. *)
 
-type exec_obs = {
-  o_status : string;
-  o_output : string;
-  o_instrs : int;
-  o_profile : (int * int) list;
-}
+let bench_fuel = 1_000_000_000
 
-let observe (kind : Llvm_exec.Engine.kind) (m : Ir.modul) : exec_obs =
-  let r, counts = Llvm_exec.Engine.run_main ~fuel:1_000_000_000 ~profiling:true kind m in
-  { o_status = Llvm_exec.Interp.show_status r;
-    o_output = r.Llvm_exec.Interp.output;
-    o_instrs = r.Llvm_exec.Interp.instructions;
-    o_profile =
-      List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts []) }
+let mismatch (mismatches : int ref) (name : string) kind (why : string) =
+  Fmt.epr "MISMATCH %s [%s]: %s@." name (Llvm_exec.Engine.kind_name kind) why;
+  incr mismatches
+
+(* One profiled run per tier, each compared with the interpreter tier's
+   by [Engine.same_run]; returns the interpreter's observation. *)
+let check_tiers (mismatches : int ref) (name : string) (m : Ir.modul) =
+  let observe kind = Llvm_exec.Engine.observe ~fuel:bench_fuel kind m in
+  let reference = observe Llvm_exec.Engine.Interp_tier in
+  List.iter
+    (fun kind ->
+      Option.iter
+        (mismatch mismatches name kind)
+        (Llvm_exec.Engine.same_run reference (observe kind)))
+    [ Llvm_exec.Engine.Bytecode_tier; Llvm_exec.Engine.Tiered ];
+  reference
 
 type exec_row = {
   e_name : string;
@@ -278,8 +284,6 @@ type exec_row = {
   reps : int;
   genprog : bool;
 }
-
-let bench_fuel = 1_000_000_000
 
 let time_reps (kind : Llvm_exec.Engine.kind) (m : Ir.modul) (reps : int) :
     float * float * int =
@@ -323,22 +327,7 @@ let exec_bench ?(quick = false) () =
     List.map
       (fun (name, genprog, m) ->
         (* correctness first: all three tiers must agree on everything *)
-        let reference = observe Llvm_exec.Engine.Interp_tier m in
-        List.iter
-          (fun kind ->
-            let got = observe kind m in
-            let complain what =
-              Fmt.epr "MISMATCH %s [%s]: %s differs@." name
-                (Llvm_exec.Engine.kind_name kind)
-                what;
-              incr mismatches
-            in
-            if got.o_status <> reference.o_status then complain "status";
-            if got.o_output <> reference.o_output then complain "output";
-            if got.o_instrs <> reference.o_instrs then
-              complain "instruction count";
-            if got.o_profile <> reference.o_profile then complain "profile")
-          [ Llvm_exec.Engine.Bytecode_tier; Llvm_exec.Engine.Tiered ];
+        let reference = check_tiers mismatches name m in
         (* timing: pick reps from one interpreted run, reuse for both *)
         let t1, _, _ = time_reps Llvm_exec.Engine.Interp_tier m 1 in
         let reps =
@@ -351,9 +340,10 @@ let exec_bench ?(quick = false) () =
         in
         let speedup = interp_s /. Float.max 1e-9 bytecode_s in
         say "%-18s %10.4f %10.4f %10.4f %8.2fx %12d" name interp_s bytecode_s
-          compile_s speedup reference.o_instrs;
+          compile_s speedup reference.run.instructions;
         { e_name = name; interp_s; bytecode_s; compile_s; compiled_instrs;
-          e_speedup = speedup; e_instrs = reference.o_instrs; reps; genprog })
+          e_speedup = speedup; e_instrs = reference.run.instructions; reps;
+          genprog })
       programs
   in
   let geomean rows =
@@ -398,47 +388,17 @@ let exec_bench ?(quick = false) () =
   say "";
   if !mismatches > 0 then exit 1
 
-(* -- SAFECode-style bounds checking (section 4.1.2) --------------------------- *)
-
-let safecode () =
-  say "SAFECode-style bounds checking (section 4.1.2)";
-  say "(instrument every variable array index; eliminate the checks that";
-  say " masking, constants or guarded induction variables prove safe)";
-  say "";
-  say "%-14s %9s %11s %9s" "Benchmark" "inserted" "eliminated" "removed%";
-  let tot_i = ref 0 and tot_e = ref 0 in
-  List.iter
-    (fun p ->
-      let m = build_benchmark p in
-      ignore (Llvm_transforms.Pass.run_pass Llvm_transforms.Mem2reg.pass m);
-      ignore (Llvm_transforms.Pass.run_pass Llvm_transforms.Gvn.pass m);
-      let inserted = Llvm_transforms.Boundscheck.insert m in
-      let eliminated = Llvm_transforms.Boundscheck.eliminate m in
-      tot_i := !tot_i + inserted;
-      tot_e := !tot_e + eliminated;
-      say "%-14s %9d %11d %8.0f%%" p.Genprog.p_name inserted eliminated
-        (if inserted = 0 then 100.
-         else 100. *. float_of_int eliminated /. float_of_int inserted))
-    Spec.spec2000;
-  say "%-14s %9d %11d %8.0f%%" "total" !tot_i !tot_e
-    (if !tot_i = 0 then 100.
-     else 100. *. float_of_int !tot_e /. float_of_int !tot_i);
-  say "";
-  say "(the paper: SAFECode 'uses interprocedural analysis to eliminate";
-  say " runtime bounds checks in many cases')";
-  say ""
-
-(* -- Value-range analysis: check elimination and fast ops ---------------------- *)
+(* -- SAFECode bounds checks and value ranges (section 4.1.2) ------------------ *)
 
 (* End-to-end measurement of the interprocedural value-range analysis:
-   instrument every variable array index on the Table-1 workloads, let
-   the range-aware eliminator prove checks away, and run the guarded and
-   the eliminated program in all three engine tiers.  Every run must be
-   bit-for-bit identical across tiers, and elimination must not change
-   program status, output or block profile — only the executed
-   instruction count.  Also reports how many guarded bytecode ops the
-   range analysis let [Bytecode.compile] lower to unguarded fast
-   variants. *)
+   instrument every variable array index on the Table-1 workloads (after
+   mem2reg and gvn), let the range-aware eliminator prove checks away,
+   and run the guarded and the eliminated program in all three engine
+   tiers.  Every run must be bit-for-bit identical across tiers, and
+   elimination must not change program status, output or block profile
+   — only the executed instruction count.  Also reports how many guarded
+   bytecode ops the range analysis let [Bytecode.compile] lower to
+   unguarded fast variants. *)
 
 type ranges_row = {
   g_name : string;
@@ -452,16 +412,12 @@ type ranges_row = {
 }
 
 let ranges_bench ?(quick = false) () =
-  say "Value-range analysis: bounds-check elimination and fast ops";
+  say "SAFECode-style bounds checking, value-range elimination (section 4.1.2)";
   if quick then say "(--quick: reduced workload sizes, correctness-focused)";
   say "";
   say "%-14s %8s %10s %8s %10s %10s %8s %8s" "Benchmark" "inserted"
     "eliminated" "elim%" "guarded(s)" "elim(s)" "delta%" "fastops";
   let mismatches = ref 0 in
-  let all_kinds =
-    [ Llvm_exec.Engine.Interp_tier; Llvm_exec.Engine.Bytecode_tier;
-      Llvm_exec.Engine.Tiered ]
-  in
   let rows =
     List.map
       (fun p ->
@@ -470,23 +426,9 @@ let ranges_bench ?(quick = false) () =
         ignore (Llvm_transforms.Pass.run_pass Llvm_transforms.Mem2reg.pass m);
         ignore (Llvm_transforms.Pass.run_pass Llvm_transforms.Gvn.pass m);
         let inserted = Llvm_transforms.Boundscheck.insert m in
-        let complain what kind =
-          Fmt.epr "MISMATCH %s [%s]: %s differs@." p.Genprog.p_name
-            (Llvm_exec.Engine.kind_name kind)
-            what;
-          incr mismatches
-        in
+        let name = p.Genprog.p_name in
         (* guarded program: all three tiers agree on everything *)
-        let reference = observe Llvm_exec.Engine.Interp_tier m in
-        List.iter
-          (fun kind ->
-            let got = observe kind m in
-            if got.o_status <> reference.o_status then complain "status" kind;
-            if got.o_output <> reference.o_output then complain "output" kind;
-            if got.o_instrs <> reference.o_instrs then
-              complain "instruction count" kind;
-            if got.o_profile <> reference.o_profile then complain "profile" kind)
-          (List.tl all_kinds);
+        let reference = check_tiers mismatches name m in
         let t1, _, _ = time_reps Llvm_exec.Engine.Interp_tier m 1 in
         let reps =
           if quick then 1
@@ -499,35 +441,26 @@ let ranges_bench ?(quick = false) () =
            behaves exactly as before minus the check calls (same status,
            output and block profile; fewer executed instructions) *)
         let eliminated = Llvm_transforms.Boundscheck.eliminate m in
-        let after = observe Llvm_exec.Engine.Interp_tier m in
-        if after.o_status <> reference.o_status then
-          complain "status after elimination" Llvm_exec.Engine.Interp_tier;
-        if after.o_output <> reference.o_output then
-          complain "output after elimination" Llvm_exec.Engine.Interp_tier;
-        if after.o_profile <> reference.o_profile then
-          complain "profile after elimination" Llvm_exec.Engine.Interp_tier;
-        List.iter
-          (fun kind ->
-            let got = observe kind m in
-            if got.o_status <> after.o_status then complain "status" kind;
-            if got.o_output <> after.o_output then complain "output" kind;
-            if got.o_instrs <> after.o_instrs then
-              complain "instruction count" kind;
-            if got.o_profile <> after.o_profile then complain "profile" kind)
-          (List.tl all_kinds);
+        let after = check_tiers mismatches name m in
+        let run = { after.run with instructions = reference.run.instructions } in
+        Option.iter
+          (fun d ->
+            mismatch mismatches name Llvm_exec.Engine.Interp_tier
+              ("after elimination: " ^ d))
+          (Llvm_exec.Engine.same_run reference { after with run });
         let elim_s, _, _ = time_reps Llvm_exec.Engine.Bytecode_tier m reps in
         let e = Llvm_exec.Engine.create Llvm_exec.Engine.Bytecode_tier m in
         ignore (Llvm_exec.Engine.compile_all e);
         let g_fast_ops = Llvm_exec.Engine.fast_ops e in
         let delta = 100. *. (1. -. (elim_s /. Float.max 1e-9 guarded_s)) in
         say "%-14s %8d %10d %7.0f%% %10.4f %10.4f %7.1f%% %8d"
-          p.Genprog.p_name inserted eliminated
+          name inserted eliminated
           (if inserted = 0 then 100.
            else 100. *. float_of_int eliminated /. float_of_int inserted)
           guarded_s elim_s delta g_fast_ops;
-        { g_name = p.Genprog.p_name; inserted; eliminated; guarded_s; elim_s;
-          guarded_instrs = reference.o_instrs; elim_instrs = after.o_instrs;
-          g_fast_ops })
+        { g_name = name; inserted; eliminated; guarded_s; elim_s;
+          guarded_instrs = reference.run.instructions;
+          elim_instrs = after.run.instructions; g_fast_ops })
       Spec.spec2000
   in
   let tot_i = List.fold_left (fun a r -> a + r.inserted) 0 rows in
@@ -542,6 +475,8 @@ let ranges_bench ?(quick = false) () =
   say "%.0f%% of inserted bounds checks eliminated statically (target: 20%%);"
     elim_pct;
   say "%d bytecode ops compiled to unguarded fast variants" tot_fast;
+  say "(the paper: SAFECode 'uses interprocedural analysis to eliminate";
+  say " runtime bounds checks in many cases')";
   if !mismatches > 0 then
     say "*** %d MISMATCHES — range-driven elimination is unsound ***"
       !mismatches;
@@ -1194,15 +1129,12 @@ let pgo_bench ?(quick = false) () =
           Llvm_linker.Fleet.field_run ~kind:Llvm_exec.Engine.Tiered
             ~input:(Genprog.input_global, holdout) ~profile:rep.aggregate opt
         in
-        if
-          Llvm_exec.Interp.show_status base.result
-          <> Llvm_exec.Interp.show_status opt_run.result
-          || base.result.output <> opt_run.result.output
-        then begin
-          Fmt.epr "BEHAVIOUR MISMATCH %s: speculation changed the program@."
-            name;
-          behaviour_ok := false
-        end;
+        Option.iter
+          (fun d ->
+            Fmt.epr "BEHAVIOUR MISMATCH %s: speculation changed the program: %s@."
+              name d;
+            behaviour_ok := false)
+          (Llvm_exec.Interp.same_behaviour base.result opt_run.result);
         (* 4. timing, both sides on the bytecode tier *)
         let t1, _ = time_reps_pgo (ship_pgo p) 1 in
         let reps =
@@ -1384,7 +1316,6 @@ let () =
     table1 ~field_sensitive:(not (List.mem "--no-fields" rest)) ()
   | _ :: "table2" :: rest -> table2 ~promote:(not (List.mem "--raw" rest)) ()
   | _ :: "figure5" :: _ -> figure5 ()
-  | _ :: "safecode" :: _ -> safecode ()
   | _ :: "ranges" :: rest -> ranges_bench ~quick:(List.mem "--quick" rest) ()
   | _ :: "poolalloc" :: _ -> poolalloc ()
   | _ :: "lint" :: _ -> lint ()
@@ -1398,7 +1329,6 @@ let () =
     table1 ();
     table2 ();
     figure5 ();
-    safecode ();
     ranges_bench ();
     poolalloc ();
     lint ();

@@ -109,13 +109,11 @@ let () =
     r2.instructions
     (100. *. (1. -. (float_of_int r2.instructions /. float_of_int r1.instructions)));
   Emit_sample.emit "lifelong_optimization" exe.program;
-  if
-    Llvm_exec.Interp.show_status r1 <> Llvm_exec.Interp.show_status r2
-    || r1.output <> r2.output
-    || r2.instructions >= r1.instructions
-  then begin
-    prerr_endline
-      "run 2 must behave identically (status and output) with fewer \
-       instructions";
+  match Llvm_exec.Interp.same_behaviour r1 r2 with
+  | Some d ->
+    prerr_endline ("run 2 must behave identically: " ^ d);
     exit 1
-  end
+  | None when r2.instructions >= r1.instructions ->
+    prerr_endline "run 2 must execute fewer instructions";
+    exit 1
+  | None -> ()

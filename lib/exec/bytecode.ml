@@ -577,7 +577,7 @@ let compile ?(ranges : Llvm_analysis.Range.t option)
 
 (* -- Execution ------------------------------------------------------------- *)
 
-let out_of_fuel () = Memory.trap "out of fuel (infinite loop?)"
+let out_of_fuel () = raise (Memory.Trap Interp.fuel_exhausted)
 
 (* The dispatch loop.  No hashtable lookups or list traversals on the
    straight-line path; fuel accounting is inlined into every charging

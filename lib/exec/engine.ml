@@ -152,3 +152,38 @@ let run_main ?fuel ?(profiling = false) ?profile (kind : kind) (m : modul) :
     match find_func m "main" with
     | Some main -> (run_function ?fuel e.mach main [], e.mach.block_counts)
     | None -> failed (`Trapped "no main function"))
+
+(* -- The one run observation ---------------------------------------------- *)
+
+(* A profiled run of [main] and its block profile as a list sorted by
+   block id: everything the tiers must agree on. *)
+type observation = { run : run_result; profile : (int * int) list }
+
+let observe ?fuel ?profile (kind : kind) (m : modul) : observation =
+  let run, counts = run_main ?fuel ~profiling:true ?profile kind m in
+  { run;
+    profile =
+      List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts []) }
+
+(* Tier identity: behaviour, then instruction count, then the first
+   block whose count differs (a block missing on one side counts 0). *)
+let same_run (a : observation) (b : observation) : string option =
+  let rec first_block = function
+    | [], [] -> None
+    | (i, c) :: p, (j, d) :: q when i = j ->
+      if c = d then first_block (p, q) else Some (i, c, d)
+    | (i, c) :: _, (j, _) :: _ when i < j -> Some (i, c, 0)
+    | (i, c) :: _, [] -> Some (i, c, 0)
+    | _, (j, d) :: _ -> Some (j, 0, d)
+  in
+  match same_behaviour a.run b.run with
+  | Some _ as d -> d
+  | None ->
+    if a.run.instructions <> b.run.instructions then
+      Some
+        (Fmt.str "instructions: %d vs %d" a.run.instructions
+           b.run.instructions)
+    else
+      Option.map
+        (fun (id, c, d) -> Fmt.str "block %d count: %d vs %d" id c d)
+        (first_block (a.profile, b.profile))

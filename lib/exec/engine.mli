@@ -78,3 +78,28 @@ val run_main :
   kind ->
   Llvm_ir.Ir.modul ->
   Interp.run_result * (int, int) Hashtbl.t
+
+(** {1 The one run observation}
+
+    Every differential gate (tier agreement, pass and speculation
+    checks, translation-validation witnesses) judges runs through
+    {!Interp.same_behaviour} or {!same_run}. *)
+
+(** A profiled run of [main] and its block profile, sorted by block
+    id. *)
+type observation = { run : Interp.run_result; profile : (int * int) list }
+
+(** {!run_main} with [~profiling:true]. *)
+val observe :
+  ?fuel:int ->
+  ?profile:Llvm_profile.Profile.t ->
+  kind ->
+  Llvm_ir.Ir.modul ->
+  observation
+
+(** Tier identity: [None] when the two observations agree on
+    {!Interp.same_behaviour}, the instruction count and every block
+    count; otherwise the first that differs, with both values (left,
+    then right).  A profile mismatch names the first block id whose
+    count differs. *)
+val same_run : observation -> observation -> string option

@@ -56,6 +56,10 @@ type machine = {
 
 let default_fuel = 50_000_000
 
+(* The one trap message for an exhausted instruction budget, raised by
+   both tiers and recognised by [out_of_fuel]. *)
+let fuel_exhausted = "out of fuel (infinite loop?)"
+
 (* -- Value/byte conversions ---------------------------------------------- *)
 
 let rtval_type_zero table (ty : Ltype.t) : rtval =
@@ -558,7 +562,7 @@ let exec_func (mach : machine) (f : func) (args : rtval list) : outcome =
       | [] -> Memory.trap "fell off the end of block %%%s" b.bname
       | i :: rest -> (
         mach.fuel <- mach.fuel - 1;
-        if mach.fuel <= 0 then Memory.trap "out of fuel (infinite loop?)";
+        if mach.fuel <= 0 then raise (Memory.Trap fuel_exhausted);
         let set v = Hashtbl.replace frame.env i.iid v in
         match i.iop with
         | Add | Sub | Mul | Div | Rem | And | Or | Xor | Shl | Shr ->
@@ -703,14 +707,39 @@ let pp_rtval fmt = function
   | Rfloat (_, f) -> Fmt.float fmt f
   | Rptr p -> Fmt.pf fmt "0x%Lx" p
 
-(* The one printed form of a run's status, used wherever runs are
-   compared (tier differentials, oracles, validation witnesses). *)
+(* The one printed form of a run's status (reports, divergence
+   messages). *)
 let show_status (r : run_result) : string =
   match r.status with
   | `Returned v -> Fmt.str "returned %a" pp_rtval v
   | `Unwound -> "unwound"
   | `Exited c -> Fmt.str "exited %d" c
   | `Trapped msg -> "trapped: " ^ msg
+
+let out_of_fuel (r : run_result) : bool = r.status = `Trapped fuel_exhausted
+
+(* The first 16 bytes of [s] from [i], for divergence messages. *)
+let excerpt (s : string) (i : int) : string =
+  String.sub s i (min 16 (String.length s - i))
+
+(* Status first, then output; the message names the field and both
+   values, left then right.  Instruction counts are not compared: a
+   transformation changes them by design. *)
+let same_behaviour (a : run_result) (b : run_result) : string option =
+  if compare a.status b.status <> 0 then
+    Some (Fmt.str "status: %s vs %s" (show_status a) (show_status b))
+  else if a.output <> b.output then begin
+    let n = min (String.length a.output) (String.length b.output) in
+    let rec first i =
+      if i < n && a.output.[i] = b.output.[i] then first (i + 1) else i
+    in
+    let i = first 0 in
+    Some
+      (Fmt.str "output at byte %d (lengths %d vs %d): %S vs %S" i
+         (String.length a.output) (String.length b.output) (excerpt a.output i)
+         (excerpt b.output i))
+  end
+  else None
 
 (* The one process exit code of a run, shared by lli and llvmd's Run. *)
 let exit_code (r : run_result) : int =

@@ -56,6 +56,10 @@ type machine = {
 
 val default_fuel : int
 
+(** The trap message both tiers raise when the instruction budget runs
+    out. *)
+val fuel_exhausted : string
+
 (** Builtins available to programs: [putchar], [print_int],
     [print_long], [print_double], [print_str], [print_newline], [exit],
     [abort], the [llvm_cxxeh_*] exception runtime, [llvm_profile_hit],
@@ -121,9 +125,18 @@ val run_main : ?fuel:int -> Llvm_ir.Ir.modul -> run_result
 val pp_rtval : Format.formatter -> rtval -> unit
 
 (** ["returned <v>"], ["unwound"], ["exited <code>"] or
-    ["trapped: <why>"]: the one printed form of a run's status, used
-    wherever runs are compared. *)
+    ["trapped: <why>"]: the one printed form of a run's status. *)
 val show_status : run_result -> string
+
+(** The run trapped because its instruction budget ran out. *)
+val out_of_fuel : run_result -> bool
+
+(** [None] when both runs end with the same status and print the same
+    output; otherwise the first field that differs, with both values
+    (left, then right).  For output, the message gives the first
+    differing byte offset.  Instruction counts are not compared, so this
+    is the check for transformations and speculation. *)
+val same_behaviour : run_result -> run_result -> string option
 
 (** The process exit code of a run: the low byte of [main]'s integer
     return value (0 for any other return), the low byte of [exit]'s

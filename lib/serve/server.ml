@@ -159,34 +159,23 @@ let run_pipeline ~(deadline : float option) (spec : Protocol.pipeline)
 
 (* -- Translation-validation witness ------------------------------------------- *)
 
-(* Observable behaviour under the interpreter tier: status plus program
-   output.  Instruction counts are excluded — optimization changes them
-   by design.  A module without [main] has no observable behaviour, so
-   its witness is vacuously valid. *)
-type behaviour = No_main | Ran of string * string
-
-let observe (fuel : int) (m : Ir.modul) : behaviour =
-  match Ir.find_func m "main" with
-  | None -> No_main
-  | Some _ ->
-    let r, _ = Engine.run_main ~fuel Engine.Interp_tier m in
-    Ran (Interp.show_status r, r.Interp.output)
-
-(* [reference] must be a freshly loaded module (the pipelines mutate in
-   place); compares it against the optimized module. *)
+(* Replays [reference] (a freshly loaded module: the pipelines mutate
+   in place) and [optimized] on the interpreter tier, unprofiled, and
+   compares their behaviour: status plus program output.  Instruction
+   counts are excluded — optimization changes them by design.  A module
+   without [main] has no observable behaviour, so its witness is
+   vacuously valid. *)
 let check_witness (t : t) ~(reference : Ir.modul) ~(optimized : Ir.modul) :
     (unit, string) result =
-  let fuel = t.cfg.validate_fuel in
-  match (observe fuel reference, observe fuel optimized) with
-  | No_main, _ | _, No_main -> Ok ()
-  | Ran (s0, o0), Ran (s1, o1) ->
-    if s0 <> s1 then
-      Error (Fmt.str "status diverged: %S before, %S after" s0 s1)
-    else if o0 <> o1 then
-      Error
-        (Fmt.str "output diverged (%d bytes before, %d after)"
-           (String.length o0) (String.length o1))
-    else Ok ()
+  let run m =
+    fst (Engine.run_main ~fuel:t.cfg.validate_fuel Engine.Interp_tier m)
+  in
+  match (Ir.find_func reference "main", Ir.find_func optimized "main") with
+  | None, _ | _, None -> Ok ()
+  | Some _, Some _ -> (
+    match Interp.same_behaviour (run reference) (run optimized) with
+    | None -> Ok ()
+    | Some d -> Error ("reference vs optimized: " ^ d))
 
 (* -- Request keys --------------------------------------------------------------- *)
 

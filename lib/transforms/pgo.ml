@@ -41,7 +41,6 @@ module Profile = Llvm_profile.Profile
 
 type stats = {
   promoted : int; (* sites rewritten to guarded direct calls *)
-  unguarded : int; (* sites rewritten without a guard (self-test only) *)
   inlined : int;
   deleted : int;
 }
@@ -262,5 +261,5 @@ let optimize ?min_count ?min_share (p : Profile.t) (m : modul) : stats =
     (fun pass -> ignore (Pass.run_pass pass m))
     [ Simplify_cfg.pass; Gvn.pass; Storeforward.pass; Constprop.pass;
       Dce.adce_pass ];
-  { promoted; unguarded = 0; inlined = s.Inline.inlined_calls;
+  { promoted; inlined = s.Inline.inlined_calls;
     deleted = s.Inline.deleted_functions }

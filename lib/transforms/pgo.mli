@@ -13,7 +13,6 @@
 
 type stats = {
   promoted : int;  (** sites rewritten to guarded direct calls *)
-  unguarded : int;  (** sites rewritten without a guard (self-test only) *)
   inlined : int;
   deleted : int;
 }

@@ -161,15 +161,19 @@ let test_constant_pooling () =
 
 let test_fuel_parity () =
   (* truncating the fuel at every point must trap at the same place and
-     report the same executed-instruction count in both tiers *)
+     report the same executed-instruction count in both tiers, and both
+     tiers' traps must read as fuel exhaustion *)
   let name, src = List.hd Ehprog.programs in
   let m = Ehprog.compile name src in
   for fuel = 1 to 150 do
     let ri, _ = Engine.run_main ~fuel Engine.Interp_tier m in
     let rb, _ = Engine.run_main ~fuel Engine.Bytecode_tier m in
-    Alcotest.(check string)
-      (Fmt.str "fuel %d status" fuel)
-      (Interp.show_status ri) (Interp.show_status rb);
+    Option.iter
+      (Alcotest.failf "fuel %d: interp vs bytecode: %s" fuel)
+      (Interp.same_behaviour ri rb);
+    Alcotest.(check bool)
+      (Fmt.str "fuel %d out of fuel" fuel)
+      (Interp.out_of_fuel ri) (Interp.out_of_fuel rb);
     Alcotest.(check int)
       (Fmt.str "fuel %d instructions" fuel)
       ri.Interp.instructions rb.Interp.instructions

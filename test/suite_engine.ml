@@ -13,41 +13,70 @@ open Llvm_workloads
 
 let fuel = 100_000_000
 
-(* Everything observable about a run, in comparable form. *)
-type snap = {
-  status : string;
-  output : string;
-  instructions : int;
-  profile : (int * int) list;
-}
+let run_kind (kind : Engine.kind) (m : Ir.modul) : Engine.observation =
+  Engine.observe ~fuel kind m
 
-let snapshot (r : Interp.run_result) (counts : (int, int) Hashtbl.t) : snap =
-  { status = Interp.show_status r;
-    output = r.Interp.output;
-    instructions = r.Interp.instructions;
-    profile =
-      List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts []) }
-
-let run_kind ?(fuel = fuel) (kind : Engine.kind) (m : Ir.modul) : snap =
-  let r, p = Engine.run_main ~fuel ~profiling:true kind m in
-  snapshot r p
-
-let check_tiers_agree name (m : Ir.modul) =
+(* Everything observable (status, output, instruction count, block
+   profile) must match the interpreter tier; returns its observation. *)
+let check_tiers_agree name (m : Ir.modul) : Engine.observation =
   let reference = run_kind Engine.Interp_tier m in
   List.iter
     (fun kind ->
-      let got = run_kind kind m in
-      let label what = Fmt.str "%s: %s %s" name (Engine.kind_name kind) what in
-      Alcotest.(check string) (label "status") reference.status got.status;
-      Alcotest.(check string) (label "output") reference.output got.output;
-      Alcotest.(check int)
-        (label "instruction count")
-        reference.instructions got.instructions;
-      Alcotest.(check (list (pair int int)))
-        (label "block profile")
-        reference.profile got.profile)
+      match Engine.same_run reference (run_kind kind m) with
+      | Some d ->
+        Alcotest.failf "%s: interp vs %s: %s" name (Engine.kind_name kind) d
+      | None -> ())
     [ Engine.Bytecode_tier; Engine.Tiered ];
   reference
+
+(* Divergence messages name the first field that differs and both
+   values: observations of one run that differ in exactly one field. *)
+let test_divergence_messages () =
+  let m =
+    Llvm_minic.Codegen.compile_string
+      {| extern void print_int(int x);
+         int main() {
+           int acc = 0;
+           for (int i = 0; i < 5; i++) acc = acc + i;
+           print_int(acc);
+           return 3;
+         } |}
+  in
+  let o = run_kind Engine.Interp_tier m in
+  let check what expected a b =
+    Alcotest.(check (option string)) what expected (Engine.same_run a b)
+  in
+  check "identical runs" None o (run_kind Engine.Interp_tier m);
+  check "identical across tiers" None o (run_kind Engine.Bytecode_tier m);
+  Alcotest.(check string) "program output" "10" o.run.output;
+  let with_run run = { o with Engine.run } in
+  check "status"
+    (Some "status: returned 3 vs trapped: boom")
+    o
+    (with_run { o.run with status = `Trapped "boom" });
+  check "output"
+    (Some {|output at byte 1 (lengths 2 vs 3): "0" vs "12"|})
+    o
+    (with_run { o.run with output = "112" });
+  let n = o.run.instructions in
+  check "instruction count"
+    (Some (Fmt.str "instructions: %d vs %d" n (n + 1)))
+    o
+    (with_run { o.run with instructions = n + 1 });
+  Alcotest.(check (option string)) "behaviour ignores instruction counts" None
+    (Interp.same_behaviour o.run { o.run with instructions = n + 1 });
+  let id, c = List.nth o.profile 1 in
+  let bumped =
+    List.map (fun (k, v) -> if k = id then (k, v + 2) else (k, v)) o.profile
+  in
+  check "block count"
+    (Some (Fmt.str "block %d count: %d vs %d" id c (c + 2)))
+    o
+    { o with profile = bumped };
+  check "block missing on one side"
+    (Some (Fmt.str "block %d count: %d vs 0" id c))
+    o
+    { o with profile = List.remove_assoc id o.profile }
 
 let test_genprog_differential () =
   List.iter
@@ -57,7 +86,7 @@ let test_genprog_differential () =
       Alcotest.(check bool)
         (p.Genprog.p_name ^ " produced a checksum")
         true
-        (Astring_contains.contains snap.output "checksum="))
+        (Astring_contains.contains snap.run.output "checksum="))
     (Spec.spec2000 @ Spec.disciplined)
 
 let test_ehprog_differential () =
@@ -83,7 +112,8 @@ let test_ehprog_actually_throws () =
   in
   let m = Ehprog.compile (fst unwinder) (snd unwinder) in
   let snap = run_kind Engine.Bytecode_tier m in
-  Alcotest.(check string) "uncaught exception unwinds" "unwound" snap.status
+  Alcotest.(check string) "uncaught exception unwinds" "unwound"
+    (Interp.show_status snap.run)
 
 let test_random_ir_differential () =
   for seed = 1 to 25 do
@@ -159,7 +189,8 @@ let test_div_trap_in_all_tiers () =
   ignore (Llvm_transforms.Pass.run_pass Llvm_transforms.Mem2reg.pass m);
   let reference = check_tiers_agree "divtrap" m in
   Alcotest.(check bool) "division by zero still traps" true
-    (Astring_contains.contains reference.status "division by zero")
+    (Astring_contains.contains (Interp.show_status reference.run)
+       "division by zero")
 
 (* A fleet's merged profile must not depend on the tier that ran the
    field: block and call-target counts, persisted to disk and merged,
@@ -234,10 +265,9 @@ let check_speculation name (src : string) : int * int =
     Alcotest.failf "%s: speculated module invalid: %s: %s" name
       e.Verify.where e.Verify.what);
   let got = check_tiers_agree (name ^ " speculated") m in
-  Alcotest.(check string) (name ^ ": status preserved") baseline.status
-    got.status;
-  Alcotest.(check string) (name ^ ": output preserved") baseline.output
-    got.output;
+  Option.iter
+    (Alcotest.failf "%s: speculation changed behaviour: %s" name)
+    (Interp.same_behaviour baseline.run got.run);
   let e = Engine.create Engine.Bytecode_tier m in
   let main = Option.get (Ir.find_func m "main") in
   ignore (Interp.run_function ~fuel e.Engine.mach main []);
@@ -305,6 +335,8 @@ let test_speculation_deopt_invoke () =
 let tests =
   [ Alcotest.test_case "genprog workloads agree across tiers" `Slow
       test_genprog_differential;
+    Alcotest.test_case "divergence messages name the field and both values"
+      `Quick test_divergence_messages;
     Alcotest.test_case "exception workloads agree across tiers" `Quick
       test_ehprog_differential;
     Alcotest.test_case "exception workloads exercise unwinding" `Quick

@@ -11,14 +11,13 @@
 open Llvm_ir
 open Llvm_fuzz
 
-let behaviour (m : Ir.modul) : string =
-  let r = Llvm_exec.Interp.run_main ~fuel:Oracle.fuel m in
-  match r.Llvm_exec.Interp.status with
-  | `Returned v ->
-    Fmt.str "%a|%s" Llvm_exec.Interp.pp_rtval v r.Llvm_exec.Interp.output
-  | `Trapped msg -> "trap:" ^ msg
-  | `Unwound -> "unwound"
-  | `Exited c -> Printf.sprintf "exit:%d" c
+let behaviour (m : Ir.modul) : Llvm_exec.Interp.run_result =
+  Llvm_exec.Interp.run_main ~fuel:Oracle.fuel m
+
+let check_same what baseline got =
+  Option.iter
+    (Alcotest.failf "%s: %s" what)
+    (Llvm_exec.Interp.same_behaviour baseline got)
 
 let check_valid what (m : Ir.modul) =
   match Verify.verify_module m with
@@ -75,7 +74,7 @@ let test_mutators_preserve_behaviour () =
         done;
         if !changed then begin
           check_valid mu.Mutate.mu_name c;
-          Alcotest.(check string)
+          check_same
             (Printf.sprintf "%s preserves behaviour (seed %d)"
                mu.Mutate.mu_name seed)
             baseline (behaviour c)
@@ -222,7 +221,7 @@ let test_inline_invoke_no_stale_phi_entry () =
   let baseline = behaviour m in
   ignore (Llvm_transforms.Pass.run_pass Llvm_transforms.Inline.pass m);
   check_valid "after inline" m;
-  Alcotest.(check string) "behaviour preserved" baseline (behaviour m)
+  check_same "behaviour preserved" baseline (behaviour m)
 
 let test_fuzz_run_clean_on_defaults () =
   let cfg = { Fuzz.default_config with c_paths = 1 } in

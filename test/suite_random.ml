@@ -14,13 +14,13 @@
 open Llvm_ir
 open Llvm_transforms
 
-let run (m : Ir.modul) : string =
-  let r = Llvm_exec.Interp.run_main ~fuel:5_000_000 m in
-  match r.Llvm_exec.Interp.status with
-  | `Returned v -> Fmt.str "%a|%s" Llvm_exec.Interp.pp_rtval v r.Llvm_exec.Interp.output
-  | `Trapped msg -> "trap:" ^ msg
-  | `Unwound -> "unwound"
-  | `Exited c -> Printf.sprintf "exit:%d" c
+let run (m : Ir.modul) : Llvm_exec.Interp.run_result =
+  Llvm_exec.Interp.run_main ~fuel:5_000_000 m
+
+let check_same what baseline got =
+  Option.iter
+    (QCheck.Test.fail_reportf "%s changed behaviour: %s" what)
+    (Llvm_exec.Interp.same_behaviour baseline got)
 
 let fresh seed = Llvm_fuzz.Irgen.gen_module seed
 
@@ -38,9 +38,9 @@ let prop_generated_modules_valid seed =
   check_verifies "generator" m;
   Llvm_analysis.Ssa_check.assert_ssa m;
   (* and they must run without trapping *)
-  let out = run m in
-  if String.length out >= 5 && String.sub out 0 5 = "trap:" then
-    QCheck.Test.fail_reportf "generated program traps: %s" out;
+  (match (run m).status with
+  | `Trapped msg -> QCheck.Test.fail_reportf "generated program traps: %s" msg
+  | _ -> ());
   true
 
 let prop_passes_preserve seed =
@@ -50,10 +50,7 @@ let prop_passes_preserve seed =
       let m = fresh seed in
       ignore (Pass.run_pass p m);
       check_verifies p.Pass.name m;
-      let out = run m in
-      if out <> baseline then
-        QCheck.Test.fail_reportf "pass %s changed behaviour: %s -> %s"
-          p.Pass.name baseline out)
+      check_same ("pass " ^ p.Pass.name) baseline (run m))
     Pipelines.all_passes;
   true
 
@@ -63,11 +60,9 @@ let prop_pipelines_preserve seed =
     (fun level ->
       let m = fresh seed in
       Pipelines.optimize_module ~level m;
-      check_verifies (Printf.sprintf "-O%d" level) m;
-      let out = run m in
-      if out <> baseline then
-        QCheck.Test.fail_reportf "-O%d changed behaviour: %s -> %s" level
-          baseline out)
+      let what = Printf.sprintf "-O%d" level in
+      check_verifies what m;
+      check_same what baseline (run m))
     [ 1; 2; 3 ];
   true
 
@@ -82,9 +77,9 @@ let prop_representations_roundtrip seed =
   if Printer.module_to_string decoded <> text then
     QCheck.Test.fail_reportf "bitcode round-trip not a fixpoint (seed %d)" seed;
   (* behaviour too, not just syntax *)
-  let b0 = run m and b1 = run reparsed and b2 = run decoded in
-  if b0 <> b1 || b0 <> b2 then
-    QCheck.Test.fail_reportf "representations disagree: %s / %s / %s" b0 b1 b2;
+  let b0 = run m in
+  check_same "textual round-trip" b0 (run reparsed);
+  check_same "bitcode round-trip" b0 (run decoded);
   true
 
 let prop_codegen_lowers seed =

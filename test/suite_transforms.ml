@@ -10,24 +10,22 @@ open Ir
 open Llvm_exec
 open Llvm_transforms
 
-let snapshot (m : modul) : string =
-  (* run and render the observable behaviour *)
+(* [after] ends with the same status and printed the same output. *)
+let check_same what (before : Interp.run_result) (after : Interp.run_result) =
+  Option.iter (Alcotest.failf "%s: %s" what) (Interp.same_behaviour before after)
+
+(* [main] returned [v] and printed nothing. *)
+let check_returns what (v : int) (m : modul) =
   let r = Interp.run_main m in
-  let status =
-    match r.Interp.status with
-    | `Returned v -> Fmt.str "ret %a" Interp.pp_rtval v
-    | `Unwound -> "unwound"
-    | `Exited c -> Printf.sprintf "exit %d" c
-    | `Trapped msg -> "trap " ^ msg
-  in
-  status ^ "|" ^ r.Interp.output
+  Alcotest.(check string) what (Fmt.str "returned %d|" v)
+    (Interp.show_status r ^ "|" ^ r.Interp.output)
 
 let reparse (m : modul) : modul =
   Llvm_asm.Parser.parse_module ~name:m.mname (Printer.module_to_string m)
 
 (* Run [p] on a copy of [m]; check the verifier, SSA and semantics. *)
 let check_pass_preserves (p : Pass.t) (m : modul) : modul =
-  let before = snapshot (reparse m) in
+  let before = Interp.run_main (reparse m) in
   let opt = reparse m in
   ignore (Pass.run_pass p opt);
   (match Verify.verify_module opt with
@@ -36,10 +34,9 @@ let check_pass_preserves (p : Pass.t) (m : modul) : modul =
     Alcotest.failf "%s broke module invariants on %s: %s" p.Pass.name m.mname
       (Fmt.str "%a" Fmt.(list Verify.pp_error) errs));
   Llvm_analysis.Ssa_check.assert_ssa opt;
-  let after = snapshot opt in
-  Alcotest.(check string)
+  check_same
     (Printf.sprintf "%s preserves semantics of %s" p.Pass.name m.mname)
-    before after;
+    before (Interp.run_main opt);
   opt
 
 let count_op (m : modul) (op : opcode) : int =
@@ -198,7 +195,7 @@ let test_simplifycfg_switch () =
   Builder.position_at_end b d;
   ignore (Builder.build_ret b (Some (Vconst (cint Ltype.Int 30L))));
   let opt = check_pass_preserves Simplify_cfg.pass m in
-  Alcotest.(check string) "result is 20" "ret 20|" (snapshot opt);
+  check_returns "result is 20" 20 opt;
   Alcotest.(check int) "switch folded" 0 (count_op opt Switch)
 
 (* -- gvn --------------------------------------------------------------------- *)
@@ -356,14 +353,14 @@ let test_dae () =
   in
   ignore (Builder.build_call b (Vfunc g) [ Vconst (cint Ltype.Int 1L) ]);
   ignore (Builder.build_ret b (Some r));
-  let before = snapshot (reparse m) in
+  let before = Interp.run_main (reparse m) in
   let stats = Dae.run m in
   Verify.assert_valid m;
   Alcotest.(check int) "one argument removed" 1 stats.Dae.removed_args;
   Alcotest.(check int) "one return removed" 1 stats.Dae.removed_returns;
   Alcotest.(check int) "callee keeps one parameter" 1
     (List.length (Option.get (find_func m "callee")).fargs);
-  Alcotest.(check string) "semantics preserved" before (snapshot m)
+  check_same "semantics preserved" before (Interp.run_main m)
 
 (* -- prune-eh -------------------------------------------------------------------- *)
 
@@ -429,7 +426,7 @@ let test_tailrec () =
         | _ -> ())
     loop;
   Alcotest.(check int) "self tail call removed" 0 !self_calls;
-  Alcotest.(check string) "6! computed by loop" "ret 720|" (snapshot opt)
+  check_returns "6! computed by loop" 720 opt
 
 (* -- adce ---------------------------------------------------------------------------- *)
 
@@ -453,7 +450,7 @@ let test_pipeline_preserves_samples () =
   in
   List.iter
     (fun m ->
-      let before = snapshot (reparse m) in
+      let before = Interp.run_main (reparse m) in
       let opt = reparse m in
       Pipelines.optimize_module ~level:3 opt;
       (match Verify.verify_module opt with
@@ -461,7 +458,8 @@ let test_pipeline_preserves_samples () =
       | errs ->
         Alcotest.failf "pipeline broke %s: %s" m.mname
           (Fmt.str "%a" Fmt.(list Verify.pp_error) errs));
-      Alcotest.(check string) ("pipeline preserves " ^ m.mname) before (snapshot opt))
+      check_same ("pipeline preserves " ^ m.mname) before
+        (Interp.run_main opt))
     mains
 
 let tests =
@@ -568,7 +566,7 @@ let test_full_devirtualization () =
        } |}
   in
   let m = Llvm_minic.Codegen.compile_string src in
-  let before = snapshot (reparse m) in
+  let before = Interp.run_main (reparse m) in
   Llvm_linker.Link.internalize m;
   Pipelines.optimize_module ~level:3 m;
   Verify.assert_valid m;
@@ -586,7 +584,7 @@ let test_full_devirtualization () =
         f)
     m.mfuncs;
   Alcotest.(check int) "no indirect calls remain" 0 !indirect;
-  Alcotest.(check string) "semantics preserved" before (snapshot m)
+  check_same "semantics preserved" before (Interp.run_main m)
 
 let more_tests =
   [ Alcotest.test_case "store-forward: field disjointness" `Quick
@@ -628,7 +626,7 @@ let test_sccp_through_branches () =
   Alcotest.(check bool) "dead branch removed" true
     (not (List.exists (fun blk -> blk.bname = "e") main.fblocks));
   Alcotest.(check int) "phi resolved" 0 (count_op opt Phi);
-  Alcotest.(check string) "constant result" "ret 1|" (snapshot opt)
+  check_returns "constant result" 1 opt
 
 let test_sccp_loop_invariant_condition () =
   (* a loop whose bound is constant: sccp must not break it *)
@@ -820,7 +818,7 @@ let test_ipconstprop () =
   in
   let m = Llvm_minic.Codegen.compile_string src in
   ignore (Pass.run_pass Mem2reg.pass m);
-  let before = snapshot (reparse m) in
+  let before = Interp.run_main (reparse m) in
   let s = Ipconstprop.run m in
   Verify.assert_valid m;
   Alcotest.(check int) "factor propagated" 1 s.Ipconstprop.propagated_args;
@@ -828,7 +826,7 @@ let test_ipconstprop () =
   let d = Dae.run m in
   Alcotest.(check int) "argument then removed" 1 d.Dae.removed_args;
   Verify.assert_valid m;
-  Alcotest.(check string) "semantics preserved" before (snapshot m)
+  check_same "semantics preserved" before (Interp.run_main m)
 
 let test_ipconstprop_const_return () =
   let src =
@@ -840,7 +838,7 @@ let test_ipconstprop_const_return () =
   let s = Ipconstprop.run m in
   Alcotest.(check int) "return propagated" 1 s.Ipconstprop.propagated_returns;
   Verify.assert_valid m;
-  Alcotest.(check string) "result" "ret 14|" (snapshot m)
+  check_returns "result" 14 m
 
 (* -- dead type elimination ----------------------------------------------------------- *)
 
@@ -860,7 +858,7 @@ let test_deadtypes () =
   Alcotest.(check int) "two dead names removed" 2 removed;
   Alcotest.(check bool) "used survives" true (Hashtbl.mem m.mtypes "used");
   Verify.assert_valid m;
-  Alcotest.(check string) "still runs" "ret 9|" (snapshot m)
+  check_returns "still runs" 9 m
 
 let final_tests =
   [ Alcotest.test_case "ipconstprop: common arguments" `Quick test_ipconstprop;
@@ -889,12 +887,12 @@ let test_poolalloc_local_structure () =
   in
   let m = Llvm_minic.Codegen.compile_string src in
   ignore (Pass.run_pass Mem2reg.pass m);
-  let before = snapshot (reparse m) in
+  let before = Interp.run_main (reparse m) in
   let s = Poolalloc.run m in
   Verify.assert_valid m;
   Alcotest.(check int) "one pool for the list" 1 s.Poolalloc.pools_created;
   Alcotest.(check int) "the malloc site pooled" 1 s.Poolalloc.mallocs_pooled;
-  Alcotest.(check string) "semantics preserved" before (snapshot m);
+  check_same "semantics preserved" before (Interp.run_main m);
   (* the rewritten function calls the pool runtime *)
   let f = Option.get (find_func m "sum_local") in
   let calls name =
@@ -930,11 +928,11 @@ let test_poolalloc_skips_escaping () =
   in
   let m = Llvm_minic.Codegen.compile_string src in
   ignore (Pass.run_pass Mem2reg.pass m);
-  let before = snapshot (reparse m) in
+  let before = Interp.run_main (reparse m) in
   let s = Poolalloc.run m in
   Verify.assert_valid m;
   Alcotest.(check int) "no pool for escaping data" 0 s.Poolalloc.pools_created;
-  Alcotest.(check string) "semantics preserved" before (snapshot m)
+  check_same "semantics preserved" before (Interp.run_main m)
 
 let test_poolalloc_explicit_free () =
   (* frees of pooled pointers become poolfree; double-destroy must not trap *)
@@ -954,12 +952,12 @@ let test_poolalloc_explicit_free () =
   in
   let m = Llvm_minic.Codegen.compile_string src in
   ignore (Pass.run_pass Mem2reg.pass m);
-  let before = snapshot (reparse m) in
+  let before = Interp.run_main (reparse m) in
   let s = Poolalloc.run m in
   Verify.assert_valid m;
   Alcotest.(check bool) "pooled" true (s.Poolalloc.pools_created >= 1);
   Alcotest.(check bool) "frees rewritten" true (s.Poolalloc.frees_pooled >= 1);
-  Alcotest.(check string) "semantics preserved" before (snapshot m)
+  check_same "semantics preserved" before (Interp.run_main m)
 
 let pool_tests =
   [ Alcotest.test_case "poolalloc: local structures pooled" `Quick
