@@ -44,9 +44,10 @@ val opt_oracle : t
 (** The speculation-identity check: a profile trained on an
     instrumented run of a clone drives {!Llvm_transforms.Pgo.optimize}
     (guarded call promotion + profile-guided inlining) at the most
-    promotion-happy thresholds, and all three execution tiers — with
-    profile-guided block layout — must reproduce the unspeculated
-    behaviour, status and output exactly, deopts included. *)
+    promotion-happy thresholds, and all three execution tiers — each
+    run profiled, with profile-guided block layout — must reproduce the
+    unspeculated behaviour, status and output exactly, deopts
+    included. *)
 val spec_oracle : t
 
 (** The six standard oracles, in reporting order. *)
