@@ -1,6 +1,8 @@
 (** Sharded, byte-budgeted LRU cache mapping content-addressed keys
     (module digest × pipeline spec, built by {!Server}) to opaque byte
-    values (optimized bitcode, lint reports).
+    values (optimized bitcode, lint reports).  {!Server} also keeps a
+    one-shard instance as its payload alias store (raw payload digest
+    → canonical module digest).
 
     Shard assignment uses an internal FNV-1a hash of the key, so it is
     stable across processes and OCaml versions; each shard evicts

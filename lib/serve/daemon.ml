@@ -374,8 +374,8 @@ let process_batch (st : state) (frames : string list) :
 
 (* -- Connection loop ------------------------------------------------------------ *)
 
-let readable (fd : Unix.file_descr) : bool =
-  match Unix.select [ fd ] [] [] 0.0 with
+let readable ?(within = 0.0) (fd : Unix.file_descr) : bool =
+  match Unix.select [ fd ] [] [] within with
   | [ _ ], _, _ -> true
   | _ -> false
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
@@ -530,8 +530,12 @@ let serve ?(config = default_config) ?faults ?(on_ready = fun () -> ())
   in
   Fun.protect ~finally:cleanup (fun () ->
       on_ready ();
+      (* accept only once a connection is pending, polling in short
+         slices: a signal whose handler runs as [accept] enters its
+         blocking call would otherwise be lost until the next client *)
       let rec accept_loop () =
         if st.stopping then ()
+        else if not (readable ~within:0.25 fd) then accept_loop ()
         else
           match Unix.accept fd with
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ()

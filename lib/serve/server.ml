@@ -10,7 +10,10 @@
    those bytes (Llvm_bitcode.Digest) is the module's identity, so the
    same program arriving as .ll or .bc hits the same cache line.  The
    pass-result cache maps (module digest × pipeline spec) to optimized
-   bitcode across N LRU shards (Cache).
+   bitcode across N LRU shards (Cache).  The canonical digest costs a
+   full re-encode, so an alias store maps the MD5 of the raw payload
+   bytes to it: each distinct payload is digested once.  Every payload
+   is still parsed and verified on every request.
 
    One request path: compile, lint and link each derive their cache
    key in one function that loads and verifies the payloads.  [handle]
@@ -66,6 +69,7 @@ let lat_buckets = 32
 type t = {
   cfg : config;
   cache : Cache.t;
+  aliases : Cache.t; (* raw payload digest -> canonical module digest *)
   ctr : counters;
   mutable validation_rejects : int;
   lat : int array;
@@ -74,9 +78,14 @@ type t = {
   started : float;
 }
 
+(* Alias values are 32-byte hex digests: 2048 aliases, far more than
+   the distinct payloads of a hot fleet. *)
+let alias_bytes = 64 * 1024
+
 let create ?(config = default_config) () : t =
   { cfg = config;
     cache = Cache.create ~shards:config.shards ~shard_bytes:config.shard_bytes ();
+    aliases = Cache.create ~shards:1 ~shard_bytes:alias_bytes ();
     ctr =
       { c_compile = 0; c_link = 0; c_run = 0; c_lint = 0; c_stats = 0;
         c_ping = 0; c_failed = 0; c_rejected = 0; c_timed_out = 0 };
@@ -87,6 +96,7 @@ let create ?(config = default_config) () : t =
     started = Unix.gettimeofday () }
 
 let cache (t : t) : Cache.t = t.cache
+let aliases (t : t) : Cache.t = t.aliases
 let validation_rejects (t : t) : int = t.validation_rejects
 
 let requests (t : t) : int =
@@ -102,17 +112,33 @@ let first_verify_error (m : Ir.modul) : string option =
   | [] -> None
   | e :: _ -> Some (Fmt.str "%a" Verify.pp_error e)
 
-(* Parse a payload and compute its canonical identity.  The canonical
-   bytes are the encoder's output for the freshly loaded module, so
-   textual and binary deliveries of the same program share a digest. *)
-let load_payload ~(what : string) (payload : string) :
+(* The canonical digest of verified module [m] loaded from [payload],
+   through the alias store.  The digest is a pure function of the
+   payload bytes (the module name is blanked and encoding does not
+   mutate), so an alias never goes stale and needs no eviction with
+   any result entry; a corrupted alias fails the cache's integrity
+   check and is recomputed. *)
+let canonical_digest (t : t) (payload : string) (m : Ir.modul) : string =
+  let alias = Llvm_bitcode.Digest.of_bytes payload in
+  match Cache.find t.aliases alias with
+  | Some digest -> digest
+  | None ->
+    let digest = Llvm_bitcode.Digest.of_module m in
+    Cache.put t.aliases alias digest;
+    digest
+
+(* Parse and verify a payload and compute its canonical identity.  The
+   canonical bytes are the encoder's output for the freshly loaded
+   module, so textual and binary deliveries of the same program share
+   a digest.  A payload that fails to load or verify is never aliased. *)
+let load_payload (t : t) ~(what : string) (payload : string) :
     (Ir.modul * string, string) result =
   match Loader.of_bytes ~name:what payload with
   | Error e -> Error e
   | Ok m -> (
     match first_verify_error m with
     | Some e -> Error (Fmt.str "%s: verification failed: %s" what e)
-    | None -> Ok (m, Llvm_bitcode.Digest.of_module m))
+    | None -> Ok (m, canonical_digest t payload m))
 
 (* -- Pipelines ----------------------------------------------------------------- *)
 
@@ -194,7 +220,7 @@ let validating (t : t) (flag : bool) : bool = flag || t.cfg.validate
 let validated_key ~(validate : bool) (key : string) : string =
   if validate then key ^ "|v" else key
 
-let compile_key ~(validate : bool) (payload : string)
+let compile_key (t : t) ~(validate : bool) (payload : string)
     (spec : Protocol.pipeline) : (Ir.modul keyed, string) result =
   Result.map
     (fun (m, digest) ->
@@ -202,16 +228,16 @@ let compile_key ~(validate : bool) (payload : string)
         key =
           validated_key ~validate
             (digest ^ "|" ^ Protocol.pipeline_to_string spec) })
-    (load_payload ~what:"compile request" payload)
+    (load_payload t ~what:"compile request" payload)
 
-let lint_key (payload : string) : (Ir.modul keyed, string) result =
+let lint_key (t : t) (payload : string) : (Ir.modul keyed, string) result =
   Result.map
     (fun (m, digest) -> { input = m; route = digest; key = digest ^ "|lint" })
-    (load_payload ~what:"lint request" payload)
+    (load_payload t ~what:"lint request" payload)
 
 (* Load a list of payloads; the digest of the set is the digest of the
    concatenated member digests (order-sensitive: link order matters). *)
-let load_set ~(what : string) (payloads : string list) :
+let load_set (t : t) ~(what : string) (payloads : string list) :
     (Ir.modul list * string, string) result =
   let rec go acc digests = function
     | [] ->
@@ -219,7 +245,7 @@ let load_set ~(what : string) (payloads : string list) :
         ( List.rev acc,
           Llvm_bitcode.Digest.of_bytes (String.concat "+" (List.rev digests)) )
     | p :: rest -> (
-      match load_payload ~what p with
+      match load_payload t ~what p with
       | Error e -> Error e
       | Ok (m, d) -> go (m :: acc) (d :: digests) rest)
   in
@@ -234,11 +260,11 @@ type link_input = {
 (* Every payload is loaded once here: the library digest is folded
    into the key and routes the request (IPO-once affinity), and the
    modules feed the pipelines on a miss. *)
-let link_key ~(validate : bool) (l : Protocol.link_req) :
+let link_key (t : t) ~(validate : bool) (l : Protocol.link_req) :
     (link_input keyed, string) result =
   if l.Protocol.l_apps = [] then Error "link request with no modules"
   else
-    match load_set ~what:"link apps" l.Protocol.l_apps with
+    match load_set t ~what:"link apps" l.Protocol.l_apps with
     | Error e -> Error e
     | Ok (apps, apps_digest) ->
       Result.map
@@ -249,7 +275,7 @@ let link_key ~(validate : bool) (l : Protocol.link_req) :
               validated_key ~validate
                 (Llvm_bitcode.Digest.of_bytes (apps_digest ^ "|" ^ libs_digest)
                 ^ "|" ^ tag ^ "|link") })
-        (load_set ~what:"link libs" l.Protocol.l_libs)
+        (load_set t ~what:"link libs" l.Protocol.l_libs)
 
 (* -- The request path ----------------------------------------------------------- *)
 
@@ -327,7 +353,7 @@ let finish (t : t) ~(deadline : float option) ~(t0 : float) ~(validate : bool)
 let compile_bytes (t : t) ~(deadline : float option) ~(validate : bool)
     (payload : string) (spec : Protocol.pipeline) : Protocol.response =
   let validate = validating t validate in
-  answer t (compile_key ~validate payload spec) (fun m ->
+  answer t (compile_key t ~validate payload spec) (fun m ->
       let t0 = Unix.gettimeofday () in
       match run_pipeline ~deadline spec m with
       | Error e -> Error (Protocol.Failed e)
@@ -376,7 +402,7 @@ let optimized_libs (t : t) ?deadline (mods : Ir.modul list)
 let handle_link (t : t) ~(deadline : float option) (l : Protocol.link_req) :
     Protocol.response =
   let validate = validating t l.Protocol.l_validate in
-  answer t (link_key ~validate l) (fun { apps; libs; libs_digest } ->
+  answer t (link_key t ~validate l) (fun { apps; libs; libs_digest } ->
       let t0 = Unix.gettimeofday () in
       let libm =
         if libs = [] then Ok []
@@ -396,7 +422,7 @@ let handle_link (t : t) ~(deadline : float option) (l : Protocol.link_req) :
           ~reference:(fun () ->
             (* everything re-loaded fresh, linked, never optimized *)
             Result.bind
-              (load_set ~what:"link reference"
+              (load_set t ~what:"link reference"
                  (l.Protocol.l_apps @ l.Protocol.l_libs))
               (fun (mods, _) -> link_modules ~name:"reference" mods))
           final)
@@ -439,7 +465,7 @@ let handle_run (t : t) ~(deadline : float option) (r : Protocol.run_req) :
 (* -- Lint ----------------------------------------------------------------------- *)
 
 let handle_lint (t : t) (payload : string) : Protocol.response =
-  answer t (lint_key payload) (fun m ->
+  answer t (lint_key t payload) (fun m ->
       let t0 = Unix.gettimeofday () in
       let diags = Llvm_analysis.Lint.run m in
       let text =
@@ -519,6 +545,12 @@ let stats_json ?(extra : (string * Llvm_json.Json.t) list = []) (t : t) :
                 ("entries", Int (Cache.entries t.cache));
                 ("bytes", Int (Cache.bytes t.cache));
                 ("corrupt", Int (Cache.corrupt t.cache));
+                ( "aliases",
+                  Obj
+                    [ ("hits", Int (Cache.hits t.aliases));
+                      ("misses", Int (Cache.misses t.aliases));
+                      ("entries", Int (Cache.entries t.aliases));
+                      ("bytes", Int (Cache.bytes t.aliases)) ] );
                 ( "shards",
                   List
                     (Array.to_list
@@ -611,12 +643,12 @@ let do_probe (t : t) (body : Protocol.body) : probe =
   match body with
   | Protocol.Compile c ->
     look
-      (compile_key
+      (compile_key t
          ~validate:(validating t c.Protocol.c_validate)
          c.Protocol.c_payload c.Protocol.c_pipeline)
-  | Protocol.Lint payload -> look (lint_key payload)
+  | Protocol.Lint payload -> look (lint_key t payload)
   | Protocol.Link l ->
-    look (link_key ~validate:(validating t l.Protocol.l_validate) l)
+    look (link_key t ~validate:(validating t l.Protocol.l_validate) l)
   | Protocol.Run r ->
     (* execution is never served from the front cache: the optimized
        image may be cached, but running it must happen in a worker *)

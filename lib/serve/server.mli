@@ -6,7 +6,10 @@
     Every cacheable request (compile, lint, link) takes one path: its
     payloads are loaded and verified once, its cache key is derived,
     the key is looked up, and on a miss the result is computed and
-    installed.  {!probe} derives the same key and only looks it up. *)
+    installed.  {!probe} derives the same key and only looks it up.
+    The canonical module digest in every key is memoized by the raw
+    payload bytes ({!aliases}), so each distinct payload is digested
+    once; loading and verification still run on every request. *)
 
 type config = {
   shards : int;
@@ -24,6 +27,11 @@ type t
 val create : ?config:config -> unit -> t
 
 val cache : t -> Cache.t
+
+(** The alias store: MD5 of a raw payload that loaded and verified ->
+    its canonical module digest.  One shard under a fixed byte budget. *)
+val aliases : t -> Cache.t
+
 val requests : t -> int
 val validation_rejects : t -> int
 

@@ -1,13 +1,13 @@
 (* Tests for the compilation-as-a-service layer (lib/serve): the
    content digest, the sharded LRU cache, the wire protocol, the server
    request handlers (differential byte-identity against direct pipeline
-   runs, content addressing across .ll/.bc deliveries, validation
-   rejection of a known-bad pass), forked end-to-end daemon socket
-   tests, and the fault-tolerance layer: deadline-bounded framing,
-   request deadlines, cache integrity self-healing, worker crash
-   isolation and respawn, overload shedding with client retry,
-   circuit-breaker degraded mode, and graceful shutdown / socket
-   claiming. *)
+   runs, content addressing across .ll/.bc deliveries, the payload
+   alias store, validation rejection of a known-bad pass), forked
+   end-to-end daemon socket tests, and the fault-tolerance layer:
+   deadline-bounded framing, request deadlines, cache integrity
+   self-healing, worker crash isolation and respawn, overload shedding
+   with client retry, circuit-breaker degraded mode, and graceful
+   shutdown / socket claiming. *)
 
 open Llvm_serve
 
@@ -286,23 +286,47 @@ let test_server_compile_differential () =
     (String.equal served1 served2);
   Alcotest.(check bool) "shard is reported" true (m2.Protocol.m_shard >= 0)
 
+(* -- Payload aliases ------------------------------------------------------------ *)
+
+(* Alias-store hit and miss counts since [f] started. *)
+let alias_delta (server : Server.t) (f : unit -> 'a) : 'a * (int * int) =
+  let a = Server.aliases server in
+  let h0 = Cache.hits a and m0 = Cache.misses a in
+  let r = f () in
+  (r, (Cache.hits a - h0, Cache.misses a - m0))
+
+let hits_misses = Alcotest.(pair int int)
+
 let test_server_content_addressing () =
   (* the same program delivered as .ll text and as bitcode shares one
-     cache line *)
+     cache line; each delivery format gets its own payload alias, and
+     a repeat of either is an alias hit *)
   let server = Server.create () in
   let m = sample_module () in
   let as_bitcode = encode m in
   let as_text = Llvm_ir.Printer.module_to_string m in
-  let _, m1 =
-    expect_served "bitcode delivery"
-      (Server.handle server (compile_req as_bitcode))
+  let send what payload =
+    alias_delta server (fun () ->
+        expect_served what (Server.handle server (compile_req payload)))
   in
+  let (bc1, m1), d1 = send "bitcode delivery" as_bitcode in
   Alcotest.(check bool) "bitcode delivery misses" false m1.Protocol.m_hit;
-  let _, m2 =
-    expect_served "text delivery" (Server.handle server (compile_req as_text))
-  in
+  let (bc2, m2), d2 = send "bitcode again" as_bitcode in
+  let (ll1, m3), d3 = send "text delivery" as_text in
   Alcotest.(check bool) "text delivery hits the same entry" true
-    m2.Protocol.m_hit
+    m3.Protocol.m_hit;
+  let (ll2, m4), d4 = send "text again" as_text in
+  Alcotest.check hits_misses "first .bc digests" (0, 1) d1;
+  Alcotest.check hits_misses "second .bc is an alias hit" (1, 0) d2;
+  Alcotest.check hits_misses "first .ll digests" (0, 1) d3;
+  Alcotest.check hits_misses "second .ll is an alias hit" (1, 0) d4;
+  Alcotest.(check (list bool)) "repeats hit the result cache" [ true; true ]
+    [ m2.Protocol.m_hit; m4.Protocol.m_hit ];
+  Alcotest.(check (list string)) "every send serves the same bytes"
+    [ bc1; bc1; bc1 ] [ bc2; ll1; ll2 ];
+  Alcotest.(check int) "one alias per format" 2
+    (Cache.entries (Server.aliases server));
+  Alcotest.(check int) "one result entry" 1 (Cache.entries (Server.cache server))
 
 let test_server_pipeline_spec_keys () =
   (* a different pipeline spec is a different cache key *)
@@ -420,8 +444,62 @@ int main() {
         (Printf.sprintf "stats mentions %s" sub)
         true
         (Astring_contains.contains json sub))
-    [ "\"requests\""; "\"cache\""; "\"shards\""; "\"latency\""; "\"run\": 1" ];
+    [ "\"requests\""; "\"cache\""; "\"shards\""; "\"latency\""; "\"run\": 1";
+      (* one payload: the run digests it, both lints reuse its alias *)
+      "\"aliases\": {\"hits\": 2, \"misses\": 1, \"entries\": 1, \"bytes\": 32}"
+    ];
   Alcotest.(check int) "request counter" 4 (Server.requests server)
+
+let test_server_alias_skips_failures () =
+  (* a payload that fails to parse or to verify is never aliased, and a
+     repeat fails the same way *)
+  let server = Server.create () in
+  let bad_parse = "int %main() {\nentry:\n  ret int %x\n}\n"
+  and bad_verify = "int %main() {\nentry:\n  ret bool true\n}\n" in
+  List.iter
+    (fun (what, payload, expect) ->
+      let failed () =
+        match Server.handle server (compile_req payload) with
+        | Protocol.Failed e -> e
+        | _ -> Alcotest.failf "%s: not Failed" what
+      in
+      let (e1, e2), d = alias_delta server (fun () -> (failed (), failed ())) in
+      Alcotest.(check bool)
+        (what ^ ": reason") true
+        (Astring_contains.contains e1 expect);
+      Alcotest.(check string) (what ^ ": repeat fails identically") e1 e2;
+      Alcotest.check hits_misses (what ^ ": alias store untouched") (0, 0) d)
+    [ ("parse error", bad_parse, "undefined value");
+      ("verify error", bad_verify, "verification failed") ];
+  Alcotest.(check int) "nothing aliased" 0
+    (Cache.entries (Server.aliases server))
+
+let test_server_alias_budget () =
+  (* more distinct payloads than the store holds: it stays within its
+     budget, and an evicted payload re-derives the same key *)
+  let server = Server.create () in
+  let aliases = Server.aliases server in
+  let budget = (Cache.shard_stats aliases).(0).Cache.s_budget in
+  let tiny k = Printf.sprintf "int %%main() {\nentry:\n  ret int %d\n}\n" k in
+  let first, r1 =
+    expect_served "first" (Server.handle server (compile_req (tiny 0)))
+  in
+  Alcotest.(check bool) "first compile misses" false r1.Protocol.m_hit;
+  let digest_bytes = 32 in
+  for k = 1 to (budget / digest_bytes) + 16 do
+    match Server.probe server (Protocol.req (Protocol.Lint (tiny k))) with
+    | Server.Miss _ -> ()
+    | _ -> Alcotest.failf "payload %d: probe is not a miss" k
+  done;
+  Alcotest.(check bool) "bytes within budget" true (Cache.bytes aliases <= budget);
+  Alcotest.(check bool) "store evicted" true (Cache.evictions aliases > 0);
+  let (again, r2), d =
+    alias_delta server (fun () ->
+        expect_served "again" (Server.handle server (compile_req (tiny 0))))
+  in
+  Alcotest.check hits_misses "evicted alias is re-derived" (0, 1) d;
+  Alcotest.(check bool) "same result key: a hit" true r2.Protocol.m_hit;
+  Alcotest.(check string) "same bytes" first again
 
 let link_fixture () =
   let lib =
@@ -492,15 +570,37 @@ let test_server_probe_agrees () =
             (Protocol.Link
                { l_apps = [ app 1 ]; l_libs = [ lib ]; l_validate = false }) ) ]
   in
+  (* each request's payloads: digested by the fresh probe, aliased from
+     then on *)
+  let npayloads = function
+    | Protocol.Link { l_apps; l_libs; _ } ->
+      List.length l_apps + List.length l_libs
+    | _ -> 1
+  in
   List.iter
     (fun (what, req) ->
       let server = Server.create () in
-      (match Server.probe server req with
-      | Server.Miss _ -> ()
-      | _ -> Alcotest.failf "%s: fresh probe is not a miss" what);
-      let served, _ = expect_served what (Server.handle server req) in
-      match Server.probe server req with
-      | Server.Hit r ->
+      let n = npayloads req.Protocol.body in
+      let key, d = alias_delta server (fun () -> Server.probe server req) in
+      Alcotest.check hits_misses (what ^ ": fresh probe digests") (0, n) d;
+      let key =
+        match key with
+        | Server.Miss { key; _ } -> key
+        | _ -> Alcotest.failf "%s: fresh probe is not a miss" what
+      in
+      (match alias_delta server (fun () -> Server.probe server req) with
+      | Server.Miss { key = again; _ }, d ->
+        Alcotest.check hits_misses (what ^ ": repeat probe aliases") (n, 0) d;
+        Alcotest.(check string) (what ^ ": same miss key") key again
+      | _ -> Alcotest.failf "%s: repeat probe is not a miss" what);
+      let (served, _), d =
+        alias_delta server (fun () -> expect_served what (Server.handle server req))
+      in
+      Alcotest.check hits_misses (what ^ ": handle aliases") (n, 0) d;
+      match alias_delta server (fun () -> Server.probe server req) with
+      | Server.Hit r, d ->
+        Alcotest.check hits_misses (what ^ ": probe after handle aliases")
+          (n, 0) d;
         let hit, metrics = expect_served (what ^ " probe") r in
         Alcotest.(check bool)
           (what ^ ": probe hit") true metrics.Protocol.m_hit;
@@ -509,6 +609,22 @@ let test_server_probe_agrees () =
           true (String.equal served hit)
       | _ -> Alcotest.failf "%s: probe misses after handle" what)
     cases;
+  (* a link whose payloads all arrived before, as compiles, resolves its
+     key through their aliases *)
+  let server = Server.create () in
+  List.iter
+    (fun p -> ignore (expect_served "member" (Server.handle server (compile_req p))))
+    [ app 1; lib ];
+  (match
+     alias_delta server (fun () ->
+         Server.probe server
+           (Protocol.req
+              (Protocol.Link
+                 { l_apps = [ app 1 ]; l_libs = [ lib ]; l_validate = false })))
+   with
+  | Server.Miss _, d ->
+    Alcotest.check hits_misses "link of seen payloads aliases" (2, 0) d
+  | _ -> Alcotest.fail "link of seen payloads: probe is not a miss");
   let server = Server.create () in
   List.iter
     (fun (what, body) ->
@@ -684,6 +800,10 @@ let with_daemon ?config ?faults ?socket (f : string -> unit) : unit =
   match Unix.fork () with
   | 0 ->
     Unix.close ready_r;
+    (* [serve] restores this disposition on its way out: the SIGTERM
+       below, sent after a Shutdown request already stopped the daemon,
+       must not kill the child between that restore and its exit *)
+    Sys.set_signal Sys.sigterm Sys.Signal_ignore;
     (try
        Daemon.serve ?config ?faults
          ~on_ready:(fun () ->
@@ -936,6 +1056,10 @@ let tests =
       test_server_rejects_miscompile;
     Alcotest.test_case "server: run, lint, stats" `Quick
       test_server_run_and_lint;
+    Alcotest.test_case "server: failed payloads are never aliased" `Quick
+      test_server_alias_skips_failures;
+    Alcotest.test_case "server: alias store stays within its budget" `Quick
+      test_server_alias_budget;
     Alcotest.test_case "server: batched link shares IPO" `Quick
       test_server_batched_link;
     Alcotest.test_case "server: probe and handle agree on keys" `Quick
